@@ -151,17 +151,19 @@ def harvest_samples(trajectories):
 def build_dynamics(tree, trajectories, kappa: float, epsilon_floor: float,
                    epsilon_override: float | None = None,
                    centered_noise: bool = False) -> dict[int, ClassDynamics]:
-    """One ClassDynamics per tree node.
+    """One ClassDynamics per leaf class plus one for the root.
 
-    The neighborhood radius of a class is its birth index floored at
-    `epsilon_floor` (leaves are born at 0, so the floor is what keeps their
-    balls non-degenerate); `epsilon_override` forces one global radius instead.
+    The filter stack and the leaf-class baseline move particles by their leaf
+    class; the pooled baseline follows the root. The neighborhood radius of a
+    class is its birth index floored at `epsilon_floor` (leaves are born at
+    0, so the floor is what keeps their balls non-degenerate);
+    `epsilon_override` forces one global radius instead.
     """
     if epsilon_floor <= 0 and epsilon_override is None:
         raise InvalidInputError("epsilon_floor must be > 0")
     by_id = {t.id: t for t in trajectories}
     out: dict[int, ClassDynamics] = {}
-    for nid in sorted(tree.nodes):
+    for nid in sorted(set(tree.leaves()) | {tree.root}):
         node = tree.nodes[nid]
         missing = [m for m in node.members if m not in by_id]
         if missing:

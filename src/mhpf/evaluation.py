@@ -32,8 +32,8 @@ from .obsgen import ClassPointIndex, ObsConfig, bbox_diagonal, default_coarse_le
 from .seeding import (PHASE_DATA, PHASE_DEPLETE, PHASE_INIT, PHASE_OBSERVE,
                       PHASE_PREDICT, PHASE_RESAMPLE, PHASE_SCENARIO,
                       as_seed_sequence, child_seed, substream)
-from .stack import (CoarseObservation, FilterStack, FineObservation,
-                    bounded_log_weights, class_masses, split_counts,
+from .stack import (FilterStack, FineObservation, bounded_log_weights,
+                    check_observations, class_masses, split_counts,
                     start_point_sampler, weighted_mean)
 
 CONVERGENCE_FRACTION = 0.33
@@ -127,6 +127,7 @@ class LeafParticleFilter:
         }
 
     def step(self, observations=()) -> dict:
+        observations = check_observations(observations, self.positions.shape[1])
         self._t += 1
         for nid in (int(c) for c in self._class_ids):
             idx = np.flatnonzero(self.labels == nid)
@@ -135,8 +136,6 @@ class LeafParticleFilter:
             rng = substream(self.seed, PHASE_PREDICT, self._t, nid)
             new, _ = self.dynamics[nid].step_batch(self.positions[idx], rng)
             self.positions[idx] = new
-        if isinstance(observations, (FineObservation, CoarseObservation)):
-            observations = (observations,)
         for obs in observations:
             if isinstance(obs, FineObservation):
                 xi = np.asarray(obs.position, dtype=float)

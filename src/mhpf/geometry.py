@@ -26,12 +26,6 @@ def euclidean(a, b) -> float:
     return float(np.sqrt(np.sum((a - b) ** 2)))
 
 
-def distances_to(points: np.ndarray, z) -> np.ndarray:
-    """Row-wise L2 distances from each point in `points` to `z`."""
-    z = np.asarray(z, dtype=float)
-    return np.sqrt(((points - z) ** 2).sum(axis=1))
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """An identified, ordered, finite sequence of d-dimensional points."""

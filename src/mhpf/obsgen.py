@@ -29,7 +29,6 @@ class ObsConfig:
     coarse_level: float | None = None
     lead_in_fraction: float = 0.0
     mode: str = "mixed"  # "mixed" | "lead_in"
-    centered_fine: bool = False
     coarse_replaces_fine: bool = False
 
     def __post_init__(self):
@@ -52,18 +51,12 @@ def bbox_diagonal(trajectories) -> float:
     return float(np.sqrt((span ** 2).sum()))
 
 
-def gen_fine(z, psi: float, scale: float, rng: np.random.Generator,
-             centered: bool = False) -> FineObservation:
+def gen_fine(z, psi: float, scale: float, rng: np.random.Generator) -> FineObservation:
     """Noisy position observation: truth plus uniform offsets on [0, psi*scale]."""
     if psi < 0:
         raise InvalidInputError("psi must be >= 0")
     z = np.asarray(z, dtype=float)
-    width = psi * scale
-    if centered:
-        noise = rng.uniform(-width / 2.0, width / 2.0, size=z.shape)
-    else:
-        noise = rng.uniform(0.0, width, size=z.shape)
-    return FineObservation(z + noise)
+    return FineObservation(z + rng.uniform(0.0, psi * scale, size=z.shape))
 
 
 class ClassPointIndex:
@@ -144,7 +137,7 @@ def observation_plan(truth_points, cfg: ObsConfig, tree, trajectories,
         z = pts[t]
         obs: list = []
         if cfg.mode == "mixed":
-            fine = gen_fine(z, cfg.psi, scale, rng, centered=cfg.centered_fine)
+            fine = gen_fine(z, cfg.psi, scale, rng)
             coarse = None
             if cfg.coarse_prob > 0 and rng.random() < cfg.coarse_prob:
                 coarse = gen_coarse(z, cfg.psi, tree, trajectories, level,
@@ -157,7 +150,7 @@ def observation_plan(truth_points, cfg: ObsConfig, tree, trajectories,
                 obs = [fine]
         else:  # lead_in
             if t <= lead:
-                obs = [gen_fine(z, cfg.psi, scale, rng, centered=cfg.centered_fine)]
+                obs = [gen_fine(z, cfg.psi, scale, rng)]
             else:
                 obs = [gen_coarse(z, cfg.psi, tree, trajectories, level,
                                   cfg.n_coarse_samples, rng, scale=scale, index=index)]

@@ -1,18 +1,18 @@
 """Consistent stack of particle filters over a cluster tree.
 
-The bottom level carries N weighted (leaf class, position) particles. Every
-internal node's particle set is realized each step by re-labeling copies of
-its descendants' particles, so any level of the tree holds exactly N
-particles. Class probabilities live on the whole tree and are kept consistent
-(children sum to their parent) by rebuilding from whichever level an
-observation updated: masses are recomputed from that level's particle
-weights, pushed down by proportional scaling against the pre-observation
-snapshot, and pushed up by summation.
+One set of N weighted (leaf class, position) particles carries the estimate.
+A node of the tree holds the particles whose leaf class lies under it, so
+every level of the tree partitions the same N particles. Class probabilities
+live on the whole tree and are kept consistent (children sum to their parent)
+by rebuilding from whichever level an observation updated: masses are
+recomputed from that level's particle weights, pushed down by proportional
+scaling against the pre-observation snapshot, and pushed up by summation.
 
-Fine observations reweight bottom-level particles by distance to the observed
-position. Coarse observations name a class at some level; every particle of
-each class alive there receives the same weight from the tree-class distance
-to the observed class, and particles elsewhere are rescaled by their class's
+Fine observations reweight the particles by distance to the observed
+position. Coarse observations name a class at some level; every particle
+under a class alive there receives the same weight from the tree-class
+distance to the observed class. Particles of a leaf class alive at that level
+keep that weight; the others keep their own, rescaled by their leaf class's
 probability ratio.
 """
 
@@ -96,25 +96,41 @@ def start_point_sampler(tree, trajectories):
     return sampler
 
 
-def member_point_sampler(tree, trajectories):
-    """Position sampler drawing a uniform point of the class's trajectories."""
-    by_id = {t.id: t for t in trajectories}
-    pools = {}
-    for nid in tree.leaves():
-        node = tree.nodes[nid]
-        pools[nid] = np.vstack([by_id[m].points for m in sorted(node.members)])
-
-    def sampler(class_id, rng):
-        pool = pools[class_id]
-        return pool[int(rng.integers(len(pool)))].copy()
-
-    return sampler
-
-
 def split_counts(n: int, depletion: float) -> tuple[int, int]:
     """(weight-resampled, randomized) particle counts for one resampling."""
     n_random = int(round(n * depletion))
     return n - n_random, n_random
+
+
+def check_observations(observations, dim: int, tree=None) -> tuple:
+    """One step's observations as a tuple, each checked before any state changes.
+
+    A fine position must be `dim` finite coordinates. Given a tree, a coarse
+    observation must name a node alive at its level, which must be >= 0;
+    without one (the flat filters ignore coarse evidence) it passes unchecked.
+    """
+    if isinstance(observations, (FineObservation, CoarseObservation)):
+        observations = (observations,)
+    observations = tuple(observations)
+    for obs in observations:
+        if isinstance(obs, FineObservation):
+            try:
+                pos = np.asarray(obs.position, dtype=float)
+            except (TypeError, ValueError):
+                pos = None
+            if pos is None or pos.shape != (dim,) or not np.all(np.isfinite(pos)):
+                raise InvalidInputError(
+                    f"fine position must be {dim} finite coordinates, got {obs.position!r}")
+        elif isinstance(obs, CoarseObservation):
+            if tree is None:
+                continue
+            node = tree.nodes.get(obs.class_id)
+            b = obs.level
+            if node is None or not (b >= 0 and node.birth <= b < node.death):
+                raise InvalidInputError(f"class {obs.class_id!r} is not alive at level {b!r}")
+        else:
+            raise InvalidInputError(f"unknown observation type {type(obs)!r}")
+    return observations
 
 
 class FilterStack:
@@ -152,20 +168,17 @@ class FilterStack:
         ])
         self.leaf_weights = np.full(self.n_particles, 1.0 / self.n_particles)
 
+        # Node id -> boolean row over leaf ids: which leaf classes lie under it.
         max_leaf = int(self._leaf_ids.max())
         self._member_lookup = {}
         for nid in tree.nodes:
-            if tree.nodes[nid].is_leaf:
-                continue
             row = np.zeros(max_leaf + 1, dtype=bool)
             row[np.asarray(tree.leaves_under(nid), dtype=int)] = True
             self._member_lookup[nid] = row
-        self._upper: dict[int, dict] = {}
         self.class_probs: dict[int, float] = {}
         self.prev_probs: dict[int, float] = {}
         self.rebuild_tree(leaf_set)
         self.prev_probs = dict(self.class_probs)
-        self.propagate_up()
 
     # -- level bookkeeping ---------------------------------------------------
 
@@ -176,26 +189,16 @@ class FilterStack:
     def leaf_level(self) -> set[int]:
         return set(int(c) for c in self._leaf_ids)
 
-    def _weights_of(self, node_id: int) -> np.ndarray:
-        if self.tree.nodes[node_id].is_leaf:
-            return self.leaf_weights[self.leaf_labels == node_id]
-        entry = self._upper.get(node_id)
-        if entry is None:
-            return np.empty(0)
-        return entry["weights"]
-
-    def _positions_of(self, node_id: int) -> np.ndarray:
-        if self.tree.nodes[node_id].is_leaf:
-            return self.leaf_positions[self.leaf_labels == node_id]
-        entry = self._upper.get(node_id)
-        if entry is None:
-            return np.empty((0, self.leaf_positions.shape[1]))
-        return entry["positions"]
+    def _under(self, node_id: int) -> np.ndarray:
+        """Mask of the particles whose leaf class lies under node_id."""
+        return self._member_lookup[node_id][self.leaf_labels]
 
     def particles_of(self, node_id: int) -> list[Particle]:
-        pos = self._positions_of(node_id)
-        w = self._weights_of(node_id)
-        return [Particle(pos[i].copy(), int(node_id), float(w[i])) for i in range(len(w))]
+        """The particles under a node, relabelled to it, with their own weights."""
+        mask = self._under(node_id)
+        pos = self.leaf_positions[mask]
+        w = self.leaf_weights[mask]
+        return [Particle(pos[i], int(node_id), float(w[i])) for i in range(len(w))]
 
     def particles_at(self, b: float) -> list[Particle]:
         out: list[Particle] = []
@@ -205,16 +208,18 @@ class FilterStack:
 
     # -- tree probability rebuild ----------------------------------------------
 
-    def rebuild_tree(self, updated_level) -> None:
+    def rebuild_tree(self, updated_level, weights=None) -> None:
         """Recompute class probabilities from one level's particle weights.
 
-        The level's masses come straight from its particles; descendants scale
+        A class of the level gets the sum of `weights` (default: the particle
+        weights) over the particles under it; descendants scale
         proportionally against the pre-update snapshot (an exhausted parent
         spreads its new mass uniformly over its children); ancestors sum.
         """
-        level = {int(c) for c in updated_level}
-        ordered = sorted(level)
-        wsums = {c: float(self._weights_of(c).sum()) for c in ordered}
+        if weights is None:
+            weights = self.leaf_weights
+        ordered = sorted({int(c) for c in updated_level})
+        wsums = {c: float(weights[self._under(c)].sum()) for c in ordered}
         total = sum(wsums.values())
         if total <= 0:
             raise InvalidInputError("updated level has zero total weight")
@@ -245,49 +250,31 @@ class FilterStack:
             for ch in children:
                 self._assign_down(ch, share, out)
 
-    # -- particle realization and prediction ----------------------------------
-
-    def propagate_up(self) -> None:
-        """Realize every internal node's particles as re-labeled leaf copies."""
-        self._upper = {}
-        n = self.n_particles
-        for nid in sorted(self._member_lookup):
-            mask = self._member_lookup[nid][self.leaf_labels]
-            count = int(mask.sum())
-            self._upper[nid] = {
-                "positions": self.leaf_positions[mask].copy(),
-                "weights": np.full(count, 1.0 / n),
-            }
+    # -- prediction --------------------------------------------------------------
 
     def predict(self) -> None:
-        """Advance every particle at every level by its own class's dynamics."""
-        t = self._t
-        for nid in sorted(self.tree.nodes):
-            if self.tree.nodes[nid].is_leaf:
-                idx = np.flatnonzero(self.leaf_labels == nid)
-                if len(idx) == 0:
-                    continue
-                rng = substream(self.seed, PHASE_PREDICT, t, nid)
-                new, flags = self.dynamics[nid].step_batch(self.leaf_positions[idx], rng)
-                self.leaf_positions[idx] = new
-            else:
-                entry = self._upper.get(nid)
-                if entry is None or len(entry["weights"]) == 0:
-                    continue
-                rng = substream(self.seed, PHASE_PREDICT, t, nid)
-                new, flags = self.dynamics[nid].step_batch(entry["positions"], rng)
-                entry["positions"] = new
+        """Advance every particle by its leaf class's dynamics."""
+        for nid in (int(c) for c in self._leaf_ids):
+            idx = np.flatnonzero(self.leaf_labels == nid)
+            if len(idx) == 0:
+                continue
+            rng = substream(self.seed, PHASE_PREDICT, self._t, nid)
+            new, flags = self.dynamics[nid].step_batch(self.leaf_positions[idx], rng)
+            self.leaf_positions[idx] = new
             self.diagnostics["extrapolated"] += int(flags.sum())
 
     # -- observation updates ---------------------------------------------------
 
     def update(self, obs: Observation) -> None:
+        """Check, then apply one observation to the current particles."""
+        for o in check_observations(obs, self.leaf_positions.shape[1], self.tree):
+            self._apply(o)
+
+    def _apply(self, obs: Observation) -> None:
         if isinstance(obs, FineObservation):
             self._update_fine(np.asarray(obs.position, dtype=float))
-        elif isinstance(obs, CoarseObservation):
-            self._update_coarse(int(obs.class_id), float(obs.level))
         else:
-            raise InvalidInputError(f"unknown observation type {type(obs)!r}")
+            self._update_coarse(int(obs.class_id), float(obs.level))
 
     def _update_fine(self, xi: np.ndarray) -> None:
         d = np.sqrt(((self.leaf_positions - xi) ** 2).sum(axis=1))
@@ -299,51 +286,35 @@ class FilterStack:
         else:
             w = w / s
         self.leaf_weights = w
-        leaf_level = self.leaf_level()
-        self.rebuild_tree(leaf_level)
-        self._scale_outside(leaf_level)
+        self.rebuild_tree(self.leaf_level())
 
     def _update_coarse(self, class_id: int, level_value: float) -> None:
         level = self.tree.alive_at(level_value)
-        if class_id not in level:
-            raise InvalidInputError(f"class {class_id} is not alive at level {level_value}")
         ordered = sorted(level)
         dists = np.array([self.tree.tree_class_distance(c, class_id) for c in ordered])
         values = bounded_log_weights(dists)
         if values.sum() <= 0.0:
             values = np.full(len(ordered), 1.0 / self.n_particles)
             self.diagnostics["uniform_resets"] += 1
-        by_class = dict(zip(ordered, values))
-        for c in ordered:
-            if self.tree.nodes[c].is_leaf:
-                self.leaf_weights[self.leaf_labels == c] = by_class[c]
-            else:
-                entry = self._upper.get(c)
-                if entry is not None:
-                    entry["weights"][:] = by_class[c]
-        level_total = sum(float(self._weights_of(c).sum()) for c in ordered)
+        # Every particle takes the value of its class in the level.
+        masks = [self._under(c) for c in ordered]
+        w = np.empty(self.n_particles)
+        for mask, v in zip(masks, values):
+            w[mask] = v
+        level_total = sum(float(w[mask].sum()) for mask in masks)
         if level_total <= 0.0:
             # Every populated class scored zero: no usable information.
-            for c in ordered:
-                if self.tree.nodes[c].is_leaf:
-                    self.leaf_weights[self.leaf_labels == c] = 1.0 / self.n_particles
-                else:
-                    entry = self._upper.get(c)
-                    if entry is not None:
-                        entry["weights"][:] = 1.0 / self.n_particles
+            w[:] = 1.0 / self.n_particles
             self.diagnostics["uniform_resets"] += 1
         else:
             # Keep the level's particle weights a distribution; the class
             # masses only depend on their ratios.
-            for c in ordered:
-                if self.tree.nodes[c].is_leaf:
-                    mask = self.leaf_labels == c
-                    self.leaf_weights[mask] = self.leaf_weights[mask] / level_total
-                else:
-                    entry = self._upper.get(c)
-                    if entry is not None:
-                        entry["weights"] /= level_total
-        self.rebuild_tree(level)
+            w /= level_total
+        self.rebuild_tree(level, w)
+        # Leaf classes in the level take these weights; the rest keep theirs,
+        # rescaled by their class's probability ratio.
+        in_level = np.isin(self.leaf_labels, ordered)
+        self.leaf_weights[in_level] = w[in_level]
         self._scale_outside(level)
         s = self.leaf_weights.sum()
         if s <= 0.0:
@@ -353,7 +324,7 @@ class FilterStack:
             self.leaf_weights = self.leaf_weights / s
 
     def _scale_outside(self, level: set[int]) -> None:
-        """w *= P_t(c)/P_prev(c) for every particle of a class outside `level`."""
+        """w *= P_t(c)/P_prev(c) for every particle of a leaf class outside `level`."""
         ratio = np.ones(len(self._leaf_ids))
         for i, c in enumerate(self._leaf_ids):
             c = int(c)
@@ -364,17 +335,11 @@ class FilterStack:
                 ratio[i] = self.class_probs[c] / prev
         if not np.all(ratio == 1.0):
             self.leaf_weights = self.leaf_weights * ratio[self.leaf_labels]
-        for nid, entry in self._upper.items():
-            if nid in level:
-                continue
-            prev = self.prev_probs.get(nid, 0.0)
-            if prev > 0.0:
-                entry["weights"] *= self.class_probs[nid] / prev
 
     # -- resampling -------------------------------------------------------------
 
     def resample(self) -> None:
-        """Multinomial resampling at the bottom level plus depletion guard.
+        """Multinomial resampling plus depletion guard.
 
         round(N * v) particles keep their (uniformly chosen) positions but
         receive a uniformly random leaf class; the rest are drawn by weight.
@@ -397,7 +362,6 @@ class FilterStack:
         self.leaf_labels = np.concatenate([self.leaf_labels[idx], fresh])
         self.leaf_weights = np.full(n, 1.0 / n)
         self.rebuild_tree(self.leaf_level())
-        self.propagate_up()
 
     # -- queries -----------------------------------------------------------------
 
@@ -410,7 +374,7 @@ class FilterStack:
                                          self.tree.nodes[c].birth, c))
 
     def point_estimate(self) -> np.ndarray:
-        """Weight-averaged bottom-level particle position."""
+        """Weight-averaged particle position."""
         return weighted_mean(self.leaf_positions, self.leaf_weights)
 
     def snapshot(self, levels=None) -> dict:
@@ -437,20 +401,21 @@ class FilterStack:
     def step(self, observations=(), snapshot_levels=None) -> dict:
         """One filtering iteration; returns the post-update snapshot.
 
-        Order: rebuild from the bottom level, snapshot the pre-observation
-        probabilities, realize parent particles, predict every level, apply
-        the step's observations in arrival order, then resample the bottom
-        level and restore consistency.
+        Order: check every observation and snapshot level (a bad one raises
+        InvalidInputError before any state changes), keep the pre-observation
+        probabilities, predict the particles, apply the observations in
+        arrival order, then resample and rebuild the probabilities from the
+        bottom level.
         """
+        observations = check_observations(observations, self.leaf_positions.shape[1],
+                                          self.tree)
+        if snapshot_levels is not None and not all(b >= 0 for b in snapshot_levels):
+            raise InvalidInputError(f"snapshot levels must be >= 0, got {snapshot_levels!r}")
         self._t += 1
-        self.rebuild_tree(self.leaf_level())
         self.prev_probs = dict(self.class_probs)
-        self.propagate_up()
         self.predict()
-        if isinstance(observations, (FineObservation, CoarseObservation)):
-            observations = (observations,)
         for obs in observations:
-            self.update(obs)
+            self._apply(obs)
         snap = self.snapshot(snapshot_levels)
         self.resample()
         return snap
@@ -469,7 +434,7 @@ def check_consistency(stack: FilterStack, n_levels: int = 20, atol: float = 1e-9
         total = sum(stack.class_probs.get(c, 0.0) for c in alive)
         if abs(total - 1.0) > atol:
             raise AssertionError(f"level {b}: probabilities sum to {total}")
-        count = sum(len(stack._weights_of(c)) for c in alive)
+        count = sum(int(stack._under(c).sum()) for c in alive)
         if count != stack.n_particles:
             raise AssertionError(f"level {b}: {count} particles != N={stack.n_particles}")
     for nid, node in tree.nodes.items():

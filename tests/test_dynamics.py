@@ -53,6 +53,14 @@ def test_build_internal_epsilon_uses_birth():
     assert dyn[tree.root].epsilon == 2.5
 
 
+def test_build_covers_leaves_and_root_only(hand_tree):
+    trajs = [Trajectory(str(i), np.array([[0.0, y], [1.0, y]])) for i, y in enumerate((0, 1, 3))]
+    dyn = build_dynamics(hand_tree, trajs, kappa=0.0, epsilon_floor=0.5)
+    assert len(hand_tree.nodes) == 5
+    assert sorted(dyn) == sorted(hand_tree.leaves() + [hand_tree.root])
+    assert len(dyn[hand_tree.root].positions) == 3
+
+
 def test_build_rejects_zero_sample_class():
     t0 = Trajectory("a", np.array([[0.0, 0.0]]))
     t1 = Trajectory("b", np.array([[3.0, 0.0], [4.0, 0.0]]))

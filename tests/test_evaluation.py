@@ -11,7 +11,7 @@ from mhpf.evaluation import (ExperimentConfig, LeafParticleFilter, RAW_FIELDS,
 from mhpf.filtration import flat_tree, single_class_tree
 from mhpf.obsgen import bbox_diagonal, gen_fine
 from mhpf.seeding import PHASE_OBSERVE, child_seed, substream
-from mhpf.stack import CoarseObservation, FilterStack, start_point_sampler
+from mhpf.stack import CoarseObservation, FilterStack, FineObservation, start_point_sampler
 
 
 def test_mse_trivials():
@@ -113,6 +113,25 @@ def test_bl1_ignores_coarse_observations(fixed_corpus, fixed_tree):
         snap_a = pf_a.step(obs)
         snap_b = pf_b.step(list(obs) + [CoarseObservation(cls, level)])
         assert snap_a == snap_b
+
+
+@pytest.mark.parametrize("position", [[np.nan, 0.0], [0.0, -np.inf], [1.0, 0.0, 0.0]])
+def test_flat_filter_rejects_bad_position_without_changing_state(fixed_corpus, fixed_tree,
+                                                                 position):
+    dyn = build_dynamics(fixed_tree, fixed_corpus, kappa=0.4,
+                         epsilon_floor=2.0 * mean_spacing(fixed_corpus))
+    leaves = fixed_tree.leaves()
+    pf = LeafParticleFilter(leaves, {c: dyn[c] for c in leaves},
+                            {c: 1.0 / len(leaves) for c in leaves},
+                            start_point_sampler(fixed_tree, fixed_corpus), 100, 0.01, 5)
+    plan = fine_only_plan(fixed_corpus, fixed_corpus[1], psi=0.02, seed=95, steps=2)
+    pf.step(plan[0])
+    before = (pf.t, pf.labels.copy(), pf.positions.copy(), pf.weights.copy())
+    with pytest.raises(InvalidInputError):
+        pf.step(plan[1] + [FineObservation(np.array(position))])
+    assert pf.t == before[0] == 1
+    for a, b in zip((pf.labels, pf.positions, pf.weights), before[1:]):
+        assert np.array_equal(a, b)
 
 
 def test_bl1_zero_noise_locks_on(fixed_corpus):

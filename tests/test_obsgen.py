@@ -41,13 +41,6 @@ def test_fine_offset_mean():
     assert abs(offs[:, 1].mean() - width / 2.0) < 3 * se
 
 
-def test_fine_centered_switch():
-    rng = np.random.default_rng(4)
-    offs = np.stack([gen_fine(np.zeros(2), 0.2, 4.0, rng, centered=True).position
-                     for _ in range(5000)])
-    assert offs.min() < 0 < offs.max()
-
-
 def test_coarse_zero_noise_picks_containing_class(fixed_corpus, fixed_tree):
     level = default_coarse_level(fixed_tree)
     idx = ClassPointIndex(fixed_tree, fixed_corpus)

@@ -4,8 +4,11 @@ from scipy.stats import chisquare
 
 from mhpf.dynamics import build_dynamics
 from mhpf.errors import InvalidInputError
+from mhpf.evaluation import LeafParticleFilter, mean_spacing
 from mhpf.filtration import single_linkage
 from mhpf.geometry import Trajectory, distance_matrix
+from mhpf.obsgen import bbox_diagonal, gen_fine
+from mhpf.seeding import PHASE_OBSERVE, child_seed, substream
 from mhpf.stack import (CoarseObservation, FilterStack, FineObservation,
                         bounded_log_weights, check_consistency, split_counts,
                         start_point_sampler)
@@ -38,7 +41,6 @@ def force_counts(stack, counts):
     stack.leaf_weights = np.full(stack.n_particles, 1.0 / stack.n_particles)
     stack.rebuild_tree(stack.leaf_level())
     stack.prev_probs = dict(stack.class_probs)
-    stack.propagate_up()
 
 
 def test_init_uniform_prior_counts_and_weights(hand_stack):
@@ -94,9 +96,9 @@ def test_rebuild_middle_level_hand_computed(hand_stack):
     stack = hand_stack
     force_counts(stack, {0: 50, 1: 30, 2: 20})
     assert stack.class_probs[3] == pytest.approx(0.8)
-    stack._upper[3]["weights"][:] = 0.02
-    stack.leaf_weights[stack.leaf_labels == 2] = 0.01
-    stack.rebuild_tree({3, 2})
+    w = np.full(N, 0.02)
+    w[stack.leaf_labels == 2] = 0.01
+    stack.rebuild_tree({3, 2}, w)
     assert stack.class_probs[3] == pytest.approx(8.0 / 9.0, abs=1e-12)
     assert stack.class_probs[2] == pytest.approx(1.0 / 9.0, abs=1e-12)
     assert stack.class_probs[0] == pytest.approx(5.0 / 9.0, abs=1e-12)
@@ -116,18 +118,45 @@ def test_rebuild_zero_prev_parent_splits_uniformly(hand_stack):
     assert out[1] == pytest.approx(0.25)
 
 
-def test_propagate_up_all_particles_one_leaf(hand_stack):
+def test_internal_nodes_hold_all_particles_of_one_leaf(hand_stack):
     force_counts(hand_stack, {0: N, 1: 0, 2: 0})
-    assert len(hand_stack._upper[3]["weights"]) == N
-    assert len(hand_stack._upper[4]["weights"]) == N
+    assert len(hand_stack.particles_of(3)) == N
+    assert len(hand_stack.particles_of(4)) == N
+    assert hand_stack.particles_of(2) == []
 
 
-def test_propagate_up_count_preservation(hand_stack):
-    force_counts(hand_stack, {0: 60, 1: 40, 2: 0})
-    assert len(hand_stack._upper[3]["weights"]) == 100
-    got = hand_stack._positions_of(3)
-    assert np.array_equal(np.sort(got, axis=0),
-                          np.sort(hand_stack.leaf_positions, axis=0))
+def assert_nodes_hold_leaf_particles(stack):
+    """Every node's particles are the leaf particles under it, relabelled."""
+    for nid, node in stack.tree.nodes.items():
+        mask = np.isin(stack.leaf_labels, stack.tree.leaves_under(nid))
+        parts = stack.particles_of(nid)
+        assert len(parts) == int(mask.sum())
+        assert all(p.class_id == nid for p in parts)
+        got_pos = np.array([p.position for p in parts]).reshape(-1, stack.leaf_positions.shape[1])
+        assert np.array_equal(got_pos, stack.leaf_positions[mask])
+        assert np.array_equal([p.weight for p in parts], stack.leaf_weights[mask])
+
+
+def test_particles_of_internal_node_is_leaf_particles_under_it(fixed_corpus, fixed_tree):
+    dyn = build_dynamics(fixed_tree, fixed_corpus, kappa=0.4,
+                         epsilon_floor=2 * mean_spacing(fixed_corpus))
+    prior = {c: 1.0 / fixed_tree.leaf_count for c in fixed_tree.leaves()}
+    stack = FilterStack(fixed_tree, dyn, prior, start_point_sampler(fixed_tree, fixed_corpus),
+                        N, 0.01, seed=21)
+    level = fixed_tree.unique_births()[3]
+    cls = sorted(fixed_tree.alive_at(level))[0]
+    truth = fixed_corpus[2].points
+    stack.step([FineObservation(truth[1]), CoarseObservation(cls, level)])
+    assert_nodes_hold_leaf_particles(stack)
+    # Mid-step: after prediction and an update, before resampling.
+    stack._t += 1
+    stack.prev_probs = dict(stack.class_probs)
+    stack.predict()
+    stack.update(FineObservation(truth[2]))
+    assert not np.all(stack.leaf_weights == stack.leaf_weights[0])
+    assert_nodes_hold_leaf_particles(stack)
+    stack.update(CoarseObservation(cls, level))
+    assert_nodes_hold_leaf_particles(stack)
 
 
 def test_chain_tree_every_level_holds_n():
@@ -140,7 +169,7 @@ def test_chain_tree_every_level_holds_n():
     prior = {c: 1.0 / 5.0 for c in tree.leaves()}
     stack = FilterStack(tree, dyn, prior, start_point_sampler(tree, trajs), N, 0.0, seed=3)
     for b in tree.unique_births():
-        count = sum(len(stack._weights_of(c)) for c in tree.alive_at(b))
+        count = sum(len(stack.particles_of(c)) for c in tree.alive_at(b))
         assert count == N
     check_consistency(stack)
 
@@ -210,8 +239,9 @@ def test_coarse_update_equal_weights_within_class(hand_stack):
     stack = hand_stack
     force_counts(stack, {0: 50, 1: 30, 2: 20})
     stack.update(CoarseObservation(3, 1.5))
-    w3 = stack._upper[3]["weights"]
-    assert len(set(w3.tolist())) == 1
+    w3 = [p.weight for p in stack.particles_of(3)]
+    assert len(w3) == 80
+    assert len(set(w3)) == 1
     assert w3[0] > 0
 
 
@@ -219,9 +249,10 @@ def test_coarse_update_observed_class_beats_sibling(hand_stack):
     stack = hand_stack
     force_counts(stack, {0: 50, 1: 30, 2: 20})
     stack.update(CoarseObservation(3, 1.5))
-    w3 = stack._upper[3]["weights"][0]
-    w2 = stack._weights_of(2)
-    assert np.all(w3 > w2)
+    w3 = np.array([p.weight for p in stack.particles_of(3)])
+    w2 = np.array([p.weight for p in stack.particles_of(2)])
+    assert len(w2) == 20
+    assert np.all(w3[:, None] > w2[None, :])
     # Tree distances: own birth (1.0) for the observed class, root birth (2.0)
     # for the sibling, so the sibling lands on the zero end of the scale.
     assert np.all(w2 == 0.0)
@@ -386,3 +417,87 @@ def test_level_weights_normalized_after_updates(hand_stack):
     stack.update(FineObservation(np.array([1.0, 0.1])))
     total = sum(p.weight for p in stack.particles_at(0.0))
     assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def test_fine_only_bottom_level_matches_bl1_on_nested_tree(fixed_corpus, fixed_tree):
+    corpus = fixed_corpus
+    dyn = build_dynamics(fixed_tree, corpus, kappa=0.4, epsilon_floor=2 * mean_spacing(corpus))
+    leaves = fixed_tree.leaves()
+    prior = {c: 1.0 / len(leaves) for c in leaves}
+    sampler = start_point_sampler(fixed_tree, corpus)
+    seed = child_seed(2024, 0, 0)
+    stack = FilterStack(fixed_tree, dyn, prior, sampler, N, 0.01, seed)
+    pf = LeafParticleFilter(leaves, {c: dyn[c] for c in leaves}, prior, sampler, N, 0.01, seed)
+    scale = bbox_diagonal(corpus)
+    rng = substream(96, PHASE_OBSERVE)
+    truth = corpus[6].points
+    for t in range(1, len(truth)):
+        obs = [gen_fine(truth[t], 0.02, scale, rng)]
+        snap_stack = stack.step(obs)
+        snap_pf = pf.step(obs)
+        assert np.array_equal(stack.leaf_positions, pf.positions)
+        assert np.array_equal(stack.leaf_labels, pf.labels)
+        assert snap_stack["point_estimate"] == snap_pf["point_estimate"]
+        assert np.array_equal(stack.point_estimate(), pf.point_estimate())
+
+
+BAD_OBSERVATIONS = {
+    "nan_position": [FineObservation(np.array([np.nan, 0.0]))],
+    "inf_position": [FineObservation(np.array([0.0, np.inf]))],
+    "3d_position": [FineObservation(np.array([1.0, 0.0, 0.0]))],
+    "scalar_position": [FineObservation(1.0)],
+    "dead_class": [CoarseObservation(0, 1.5)],
+    "unknown_class": [CoarseObservation(99, 0.0)],
+    "negative_level": [CoarseObservation(0, -1.0)],
+    "nan_level": [CoarseObservation(3, float("nan"))],
+    "not_an_observation": [(1.0, 0.0)],
+    "bad_after_good": [FineObservation(np.array([1.0, 0.2])), CoarseObservation(3, 1.5),
+                       FineObservation(np.array([np.nan, 0.2]))],
+}
+
+
+def stack_state(stack):
+    return (stack.t, stack.leaf_labels.copy(), stack.leaf_positions.copy(),
+            stack.leaf_weights.copy(), dict(stack.class_probs), dict(stack.prev_probs),
+            dict(stack.diagnostics))
+
+
+@pytest.mark.parametrize("name", sorted(BAD_OBSERVATIONS) + ["negative_snapshot_level"])
+def test_step_rejects_bad_observation_without_changing_state(hand_tree, name):
+    trajs = hand_trajectories()
+
+    def make():
+        dyn = build_dynamics(hand_tree, trajs, kappa=0.5, epsilon_floor=0.5)
+        prior = {c: 1.0 / 3.0 for c in hand_tree.leaves()}
+        stack = FilterStack(hand_tree, dyn, prior, start_point_sampler(hand_tree, trajs),
+                            N, 0.01, seed=31)
+        stack.step([FineObservation(np.array([1.0, 0.2])), CoarseObservation(3, 1.5)])
+        return stack
+
+    stack, twin = make(), make()
+    before = stack_state(stack)
+    with pytest.raises(InvalidInputError):
+        if name == "negative_snapshot_level":
+            stack.step([FineObservation(np.array([1.0, 0.2]))], snapshot_levels=[0.0, -1.0])
+        else:
+            stack.step(BAD_OBSERVATIONS[name])
+    after = stack_state(stack)
+    assert after[0] == before[0] == 1
+    for a, b in zip(after[1:4], before[1:4]):
+        assert np.array_equal(a, b)
+    assert after[4:] == before[4:]
+    # The rejected step left no trace: the next step matches a twin that never saw it.
+    obs = [FineObservation(np.array([2.0, 0.4]))]
+    assert stack.step(obs) == twin.step(obs)
+    assert np.array_equal(stack.leaf_positions, twin.leaf_positions)
+
+
+def test_update_rejects_bad_observation(hand_stack):
+    before = stack_state(hand_stack)
+    for name in ("nan_position", "3d_position", "dead_class"):
+        with pytest.raises(InvalidInputError):
+            hand_stack.update(BAD_OBSERVATIONS[name][0])
+    after = stack_state(hand_stack)
+    for a, b in zip(after[1:4], before[1:4]):
+        assert np.array_equal(a, b)
+    assert after[4:] == before[4:]
