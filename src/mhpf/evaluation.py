@@ -30,9 +30,9 @@ from .filtration import single_class_tree, single_linkage
 from .geometry import Trajectory, distance_matrix, load_trajectories
 from .obsgen import ClassPointIndex, ObsConfig, bbox_diagonal, default_coarse_level, observation_plan
 from .seeding import (PHASE_DATA, PHASE_DEPLETE, PHASE_INIT, PHASE_OBSERVE,
-                      PHASE_PREDICT, PHASE_RESAMPLE, PHASE_SCENARIO,
-                      as_seed_sequence, child_seed, substream)
-from .stack import (FilterStack, FineObservation, bounded_log_weights,
+                      PHASE_RESAMPLE, PHASE_SCENARIO, as_seed_sequence, child_seed,
+                      substream)
+from .stack import (FilterStack, FineObservation, advance_particles, bounded_log_weights,
                     check_observations, class_masses, split_counts,
                     start_point_sampler, weighted_mean)
 
@@ -129,13 +129,8 @@ class LeafParticleFilter:
     def step(self, observations=()) -> dict:
         observations = check_observations(observations, self.positions.shape[1])
         self._t += 1
-        for nid in (int(c) for c in self._class_ids):
-            idx = np.flatnonzero(self.labels == nid)
-            if len(idx) == 0:
-                continue
-            rng = substream(self.seed, PHASE_PREDICT, self._t, nid)
-            new, _ = self.dynamics[nid].step_batch(self.positions[idx], rng)
-            self.positions[idx] = new
+        advance_particles(self.positions, self.labels, self._class_ids, self.dynamics, self.seed,
+                          self._t)
         for obs in observations:
             if isinstance(obs, FineObservation):
                 xi = np.asarray(obs.position, dtype=float)

@@ -5,13 +5,21 @@ children at the same value. Reading the dendrogram by threshold gives, for any
 b >= 0, an "alive" set of nodes (born at or before b, not yet dead) that
 partitions the trajectory corpus; the tree-class distance between two nodes is
 the birth index of their lowest common ancestor.
+
+The queries a filter step makes are answered from arrays built once per tree,
+on first use: the alive set of every interval between consecutive births (and
+deaths), a node x leaf membership matrix, a node x node table of the birth of
+each pair's lowest common ancestor, and per alive set the walks that rebuild
+class probabilities from it (`Partition`).
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +41,42 @@ class ClusterNode:
         return not self.children
 
 
+@dataclass(frozen=True, eq=False)
+class Partition:
+    """Tree nodes that cover every leaf exactly once, e.g. the classes alive at a level.
+
+    `ids` are the classes in ascending order and `rows` their rows in the
+    tree's tables. Leaf columns follow `ClusterTree.leaves()`: `leaf_class`
+    gives, per leaf column, the position in `ids` of the class above that leaf,
+    `leaf_below` marks the leaves strictly under a class, and `leaves_below`
+    lists those as (column, leaf id). `down` lists (node, parent, parent's child
+    count) for every node strictly under a class, parents first; `up` lists
+    (node, children) for every node strictly above the classes, children first.
+    """
+
+    ids: tuple[int, ...]
+    rows: np.ndarray
+    leaf_class: np.ndarray
+    leaf_below: np.ndarray
+    leaves_below: tuple[tuple[int, int], ...]
+    down: tuple[tuple[int, int, int], ...]
+    up: tuple[tuple[int, tuple[int, ...]], ...]
+
+
+@dataclass(frozen=True, eq=False)
+class _Tables:
+    ids: list            # node ids, ascending; row r of every table is node ids[r]
+    row: dict            # node id -> row
+    parent: list         # parent row, -1 for the root
+    topdown: list        # rows reachable from the root, every parent before its children
+    subtree: np.ndarray  # (node, node) bool: column s lies in the subtree of row r
+    leaf_rows: np.ndarray  # rows of the leaves, ascending ids
+    membership: np.ndarray  # subtree restricted to the leaf columns
+    lca_birth: np.ndarray  # (node, node) birth of the pair's lowest common ancestor
+    breaks: list         # sorted births and finite deaths: the alive set changes only here
+    alive: list          # per break, the ids alive from it up to the next, ascending
+
+
 class ClusterTree:
     """Immutable cluster hierarchy with level queries.
 
@@ -45,7 +89,7 @@ class ClusterTree:
         self.nodes = dict(nodes)
         self.root = root
         self.leaf_count = leaf_count
-        self._leaves_under_cache: dict[int, tuple[int, ...]] = {}
+        self._partitions: dict[tuple[int, ...], Partition] = {}
         self._leaf_by_member = {}
         for nid, node in self.nodes.items():
             if node.is_leaf:
@@ -67,27 +111,103 @@ class ClusterTree:
         except KeyError:
             raise InvalidInputError(f"unknown node id {node_id!r}") from None
 
-    def alive_at(self, b: float) -> set[int]:
-        """Nodes with birth <= b < death; their members partition the corpus."""
+    @cached_property
+    def _tables(self) -> _Tables:
+        ids = sorted(self.nodes)
+        row = {nid: r for r, nid in enumerate(ids)}
+        n = len(ids)
+        nodes = [self.nodes[nid] for nid in ids]
+        parent = [-1 if nd.parent is None else row[nd.parent] for nd in nodes]
+        births = np.array([nd.birth for nd in nodes])
+        topdown = [row[self.root]]
+        for r in topdown:
+            topdown.extend(row[ch] for ch in nodes[r].children)
+        subtree = np.zeros((n, n), dtype=bool)
+        for r in reversed(topdown):
+            subtree[r, r] = True
+            for ch in nodes[r].children:
+                subtree[r] |= subtree[row[ch]]
+        # A node's row is its parent's, except over its own subtree, where the
+        # node itself is the lowest common ancestor.
+        lca_birth = np.full((n, n), np.nan)
+        for r in topdown:
+            if parent[r] >= 0:
+                lca_birth[r] = lca_birth[parent[r]]
+            lca_birth[r, subtree[r]] = births[r]
+        deaths = np.array([nd.death for nd in nodes])
+        breaks = sorted(set(births.tolist()) | set(deaths[np.isfinite(deaths)].tolist()))
+        ids_arr = np.array(ids)
+        alive = [tuple(ids_arr[(births <= b) & (b < deaths)].tolist()) for b in breaks]
+        leaf_rows = np.array([row[nid] for nid in self.leaves()], dtype=int)
+        return _Tables(ids, row, parent, topdown, subtree, leaf_rows, subtree[:, leaf_rows],
+                       lca_birth, breaks, alive)
+
+    def row(self, node_id: int) -> int:
+        """Row of a node in `membership` and `lca_birth` (rows follow ascending ids)."""
+        try:
+            return self._tables.row[node_id]
+        except KeyError:
+            raise InvalidInputError(f"unknown node id {node_id!r}") from None
+
+    @property
+    def membership(self) -> np.ndarray:
+        """(node, leaf) bool matrix: leaf column j lies under node row r.
+
+        Columns follow `leaves()`.
+        """
+        return self._tables.membership
+
+    @property
+    def lca_birth(self) -> np.ndarray:
+        """(node, node) birth of each pair's lowest common ancestor."""
+        return self._tables.lca_birth
+
+    def alive_ids(self, b: float) -> tuple[int, ...]:
+        """Ascending ids of the nodes with birth <= b < death (cached per interval)."""
         if b < 0:
             raise InvalidInputError(f"level must be >= 0, got {b}")
-        return {n for n, node in self.nodes.items() if node.birth <= b < node.death}
+        t = self._tables
+        k = bisect_right(t.breaks, b) - 1
+        if k < 0 or not b < math.inf:  # also NaN: no node has birth <= b < death
+            return ()
+        return t.alive[k]
+
+    def alive_at(self, b: float) -> set[int]:
+        """Nodes with birth <= b < death; their members partition the corpus."""
+        return set(self.alive_ids(b))
+
+    def partition(self, node_ids) -> Partition:
+        """The given nodes as a Partition; raises unless they cover every leaf once."""
+        key = tuple(sorted({int(c) for c in node_ids}))
+        cached = self._partitions.get(key)
+        if cached is not None:
+            return cached
+        t = self._tables
+        rows = np.array([self.row(c) for c in key], dtype=int)
+        cover = t.membership[rows]
+        if not np.all(cover.sum(axis=0) == 1):
+            raise InvalidInputError(f"nodes {list(key)} do not partition the leaves")
+        leaf_class = cover.argmax(axis=0)
+        own = np.zeros(len(t.ids), dtype=bool)
+        own[rows] = True
+        below = t.subtree[rows].any(axis=0) & ~own
+        above = t.subtree[:, rows].any(axis=1) & ~own
+        ids, parent = t.ids, t.parent
+        below_l, above_l = below.tolist(), above.tolist()
+        down = tuple((ids[r], ids[parent[r]], len(self.nodes[ids[parent[r]]].children))
+                     for r in t.topdown if below_l[r])
+        up = tuple((ids[r], self.nodes[ids[r]].children)
+                   for r in reversed(t.topdown) if above_l[r])
+        leaf_below = below[t.leaf_rows]
+        leaves_below = tuple((int(j), ids[t.leaf_rows[j]]) for j in np.flatnonzero(leaf_below))
+        part = Partition(key, rows, leaf_class, leaf_below, leaves_below, down, up)
+        self._partitions[key] = part
+        return part
 
     def leaves_under(self, node_id: int) -> tuple[int, ...]:
         """Sorted leaf node ids in the subtree rooted at node_id."""
-        cached = self._leaves_under_cache.get(node_id)
-        if cached is not None:
-            return cached
-        node = self._require(node_id)
-        if node.is_leaf:
-            out: tuple[int, ...] = (node_id,)
-        else:
-            acc: list[int] = []
-            for ch in node.children:
-                acc.extend(self.leaves_under(ch))
-            out = tuple(sorted(acc))
-        self._leaves_under_cache[node_id] = out
-        return out
+        t = self._tables
+        return tuple(t.ids[r] for r in t.leaf_rows[t.membership[self.row(node_id)]].tolist())
 
     def lowest_common_ancestor(self, c1: int, c2: int) -> int:
         """LCA over parent links; every node is its own ancestor."""
@@ -105,7 +225,7 @@ class ClusterTree:
 
     def tree_class_distance(self, c1: int, c2: int) -> float:
         """Birth index of the lowest common ancestor of the two nodes."""
-        return self.nodes[self.lowest_common_ancestor(c1, c2)].birth
+        return float(self._tables.lca_birth[self.row(c1), self.row(c2)])
 
     def ancestor_alive_at(self, node_id: int, b: float) -> int:
         """The unique node on the path from node_id to the root alive at b."""

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import InvalidInputError
 from .stack import CoarseObservation, FineObservation
@@ -60,21 +59,39 @@ def gen_fine(z, psi: float, scale: float, rng: np.random.Generator) -> FineObser
 
 
 class ClassPointIndex:
-    """Per-class nearest-point lookup over member-trajectory points."""
+    """Member-trajectory points of every leaf class, stacked in leaf order.
+
+    Built on first use. A class's nearest point to a query is the nearest
+    over the leaves under it (`ClusterTree.membership`).
+    """
 
     def __init__(self, tree, trajectories):
         self.tree = tree
         self._by_id = {t.id: t for t in trajectories}
-        self._trees: dict[int, cKDTree] = {}
+        self._points: np.ndarray | None = None
+        self._starts: np.ndarray | None = None
 
-    def kdtree_for(self, node_id: int) -> cKDTree:
-        t = self._trees.get(node_id)
-        if t is None:
-            node = self.tree.nodes[node_id]
-            pts = np.vstack([self._by_id[m].points for m in sorted(node.members)])
-            t = cKDTree(pts)
-            self._trees[node_id] = t
-        return t
+    def _leaf_points(self):
+        if self._points is None:
+            blocks = [np.vstack([self._by_id[m].points for m in sorted(self.tree.nodes[c].members)])
+                      for c in self.tree.leaves()]
+            self._starts = np.cumsum([0] + [len(b) for b in blocks[:-1]])
+            self._points = np.vstack(blocks)
+        return self._points, self._starts
+
+    def nearest_distances(self, samples: np.ndarray, class_ids) -> np.ndarray:
+        """(class, sample) Euclidean distance from each sample to the class's nearest point."""
+        points, starts = self._leaf_points()
+        # Squared distances summed coordinate by coordinate, as a KD-tree
+        # query sums them, so that both give the same bits.
+        sq = np.zeros((len(samples), len(points)))
+        for k in range(points.shape[1]):
+            diff = samples[:, k, None] - points[None, :, k]
+            diff *= diff
+            sq += diff
+        leaf_d = np.sqrt(np.minimum.reduceat(sq, starts, axis=1)).T  # (leaf, sample)
+        member = self.tree.membership[[self.tree.row(c) for c in class_ids]]
+        return np.where(member[:, :, None], leaf_d[None], np.inf).min(axis=1)
 
 
 def gen_coarse(z, psi: float, tree, trajectories, level: float, n: int,
@@ -98,13 +115,9 @@ def gen_coarse(z, psi: float, tree, trajectories, level: float, n: int,
         index = ClassPointIndex(tree, trajectories)
     z = np.asarray(z, dtype=float)
     samples = z + rng.normal(0.0, psi * scale, size=(n, z.shape[0]))
-    best, best_score = None, math.inf
-    for c in sorted(tree.alive_at(level)):
-        d, _ = index.kdtree_for(c).query(samples)
-        score = float((d ** 2).sum())
-        if score < best_score:
-            best, best_score = c, score
-    return CoarseObservation(int(best), float(level))
+    alive = tree.alive_ids(level)
+    scores = (index.nearest_distances(samples, alive) ** 2).sum(axis=1)
+    return CoarseObservation(int(alive[int(np.argmin(scores))]), float(level))
 
 
 def default_coarse_level(tree) -> float:
@@ -172,21 +185,36 @@ def save_observations(path, plan: list[list]) -> None:
                 fh.write(json.dumps(rec) + "\n")
 
 
+def _parse_record(rec) -> tuple[int, object]:
+    """(step, observation) of one saved record; KeyError, TypeError or ValueError if malformed."""
+    if not isinstance(rec, dict):
+        raise TypeError(f"expected a JSON object, got {type(rec).__name__}")
+    t = int(rec["t"])
+    if rec["kind"] == "fine":
+        return t, FineObservation(np.asarray(rec["position"], dtype=float))
+    if rec["kind"] == "coarse":
+        return t, CoarseObservation(int(rec["class_id"]), float(rec["level"]))
+    raise ValueError(f"unknown observation kind {rec['kind']!r}")
+
+
 def load_observations(path) -> list[list]:
+    """Per-step observation lists from a file written by save_observations.
+
+    A line that is not a JSON object, or a record with a missing or malformed
+    field, raises InvalidInputError naming its line number.
+    """
     by_step: dict[int, list] = {}
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            t = int(rec["t"])
-            if rec["kind"] == "fine":
-                obs = FineObservation(np.asarray(rec["position"], dtype=float))
-            elif rec["kind"] == "coarse":
-                obs = CoarseObservation(int(rec["class_id"]), float(rec["level"]))
-            else:
-                raise InvalidInputError(f"unknown observation kind {rec['kind']!r}")
+            try:
+                t, obs = _parse_record(json.loads(line))
+            except KeyError as exc:
+                raise InvalidInputError(f"{path}: line {lineno}: missing field {exc}") from None
+            except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+                raise InvalidInputError(f"{path}: line {lineno}: {exc}") from None
             by_step.setdefault(t, []).append(obs)
     if not by_step:
         return []

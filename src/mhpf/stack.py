@@ -67,6 +67,26 @@ def weighted_mean(positions: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return (weights[:, None] * positions).sum(axis=0) / weights.sum()
 
 
+def group_slices(keys: np.ndarray, k: int):
+    """Particle indices grouped by key (0..k-1), in index order within a group.
+
+    Returns (order, bounds): group g is order[bounds[g]:bounds[g + 1]].
+    """
+    order = np.argsort(keys, kind="stable")
+    return order, np.searchsorted(keys[order], np.arange(k + 1))
+
+
+def group_sums(values: np.ndarray, order: np.ndarray, bounds: np.ndarray) -> list[float]:
+    """Per-group sums of `values`, each summed as one slice in particle order.
+
+    This reproduces values[mask].sum() bit for bit. np.bincount and
+    np.add.reduceat add in other orders and differ from it in the last bit.
+    """
+    v = values[order]
+    return [float(v[a:b].sum()) if b > a else 0.0
+            for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
+
+
 def class_masses(labels: np.ndarray, weights: np.ndarray, class_ids) -> dict[int, float]:
     """Normalized per-class weight sums over one particle set.
 
@@ -79,6 +99,28 @@ def class_masses(labels: np.ndarray, weights: np.ndarray, class_ids) -> dict[int
     if total <= 0:
         raise InvalidInputError("all-zero weights: cannot derive class masses")
     return {c: s / total for c, s in sums.items()}
+
+
+def advance_particles(positions: np.ndarray, labels: np.ndarray, class_ids: np.ndarray,
+                      dynamics, seed, t: int) -> int:
+    """Move every particle by its class's dynamics, in place.
+
+    `class_ids` are the possible labels in ascending order. Only populated
+    classes run, in that order, each on its particles in index order with the
+    (PHASE_PREDICT, t, class) stream. Returns how many advances fell back to
+    extrapolation.
+    """
+    order, bounds = group_slices(np.searchsorted(class_ids, labels), len(class_ids))
+    extrapolated = 0
+    for nid, a, b in zip(class_ids.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
+        if a == b:
+            continue
+        idx = order[a:b]
+        rng = substream(seed, PHASE_PREDICT, t, nid)
+        new, flags = dynamics[nid].step_batch(positions[idx], rng)
+        positions[idx] = new
+        extrapolated += int(flags.sum())
+    return extrapolated
 
 
 def start_point_sampler(tree, trajectories):
@@ -168,16 +210,10 @@ class FilterStack:
         ])
         self.leaf_weights = np.full(self.n_particles, 1.0 / self.n_particles)
 
-        # Node id -> boolean row over leaf ids: which leaf classes lie under it.
-        max_leaf = int(self._leaf_ids.max())
-        self._member_lookup = {}
-        for nid in tree.nodes:
-            row = np.zeros(max_leaf + 1, dtype=bool)
-            row[np.asarray(tree.leaves_under(nid), dtype=int)] = True
-            self._member_lookup[nid] = row
+        self._leaf_partition = tree.partition(leaf_ids)
         self.class_probs: dict[int, float] = {}
         self.prev_probs: dict[int, float] = {}
-        self.rebuild_tree(leaf_set)
+        self._rebuild(self._leaf_partition, self.leaf_weights)
         self.prev_probs = dict(self.class_probs)
 
     # -- level bookkeeping ---------------------------------------------------
@@ -189,9 +225,18 @@ class FilterStack:
     def leaf_level(self) -> set[int]:
         return set(int(c) for c in self._leaf_ids)
 
+    def _leaf_columns(self) -> np.ndarray:
+        """Each particle's leaf class as a column of the tree's leaf tables."""
+        return np.searchsorted(self._leaf_ids, self.leaf_labels)
+
     def _under(self, node_id: int) -> np.ndarray:
         """Mask of the particles whose leaf class lies under node_id."""
-        return self._member_lookup[node_id][self.leaf_labels]
+        return self.tree.membership[self.tree.row(node_id)][self._leaf_columns()]
+
+    def _groups(self, part, cols: np.ndarray):
+        """Per-particle class position in a partition, plus its group_slices."""
+        cls = part.leaf_class[cols]
+        return (cls, *group_slices(cls, len(part.ids)))
 
     def particles_of(self, node_id: int) -> list[Particle]:
         """The particles under a node, relabelled to it, with their own weights."""
@@ -215,53 +260,40 @@ class FilterStack:
         weights) over the particles under it; descendants scale
         proportionally against the pre-update snapshot (an exhausted parent
         spreads its new mass uniformly over its children); ancestors sum.
+        The level's classes must cover every leaf exactly once.
         """
-        if weights is None:
-            weights = self.leaf_weights
-        ordered = sorted({int(c) for c in updated_level})
-        wsums = {c: float(weights[self._under(c)].sum()) for c in ordered}
-        total = sum(wsums.values())
+        self._rebuild(self.tree.partition(updated_level),
+                      self.leaf_weights if weights is None else weights)
+
+    def _rebuild(self, part, weights, order=None, bounds=None) -> None:
+        if order is None:
+            _, order, bounds = self._groups(part, self._leaf_columns())
+        sums = group_sums(weights, order, bounds)
+        total = sum(sums)
+        if not np.isfinite(total):
+            raise InvalidInputError(f"updated level has a non-finite total weight ({total})")
         if total <= 0:
             raise InvalidInputError("updated level has zero total weight")
-        out: dict[int, float] = {}
-        for c in ordered:
-            self._assign_down(c, wsums[c] / total, out)
-        for nid in sorted(self.tree.nodes):
-            if nid in out:
-                continue
-            children = self.tree.nodes[nid].children
-            if children and all(ch in out for ch in children):
-                out[nid] = sum(out[ch] for ch in children)
-        if len(out) != len(self.tree.nodes):
-            raise InvalidInputError("updated level does not partition the tree")
+        prev = self.prev_probs
+        out = {c: s / total for c, s in zip(part.ids, sums)}
+        for nid, parent, n_children in part.down:
+            value = out[parent]
+            prev_parent = prev.get(parent, 0.0)
+            if prev_parent > 0.0:
+                out[nid] = prev.get(nid, 0.0) * value / prev_parent
+            else:
+                out[nid] = value / n_children
+        for nid, children in part.up:
+            out[nid] = sum(map(out.__getitem__, children))
         self.class_probs = out
-
-    def _assign_down(self, node_id: int, value: float, out: dict[int, float]) -> None:
-        out[node_id] = value
-        children = self.tree.nodes[node_id].children
-        if not children:
-            return
-        prev_parent = self.prev_probs.get(node_id, 0.0)
-        if prev_parent > 0.0:
-            for ch in children:
-                self._assign_down(ch, self.prev_probs.get(ch, 0.0) * value / prev_parent, out)
-        else:
-            share = value / len(children)
-            for ch in children:
-                self._assign_down(ch, share, out)
 
     # -- prediction --------------------------------------------------------------
 
     def predict(self) -> None:
         """Advance every particle by its leaf class's dynamics."""
-        for nid in (int(c) for c in self._leaf_ids):
-            idx = np.flatnonzero(self.leaf_labels == nid)
-            if len(idx) == 0:
-                continue
-            rng = substream(self.seed, PHASE_PREDICT, self._t, nid)
-            new, flags = self.dynamics[nid].step_batch(self.leaf_positions[idx], rng)
-            self.leaf_positions[idx] = new
-            self.diagnostics["extrapolated"] += int(flags.sum())
+        self.diagnostics["extrapolated"] += advance_particles(
+            self.leaf_positions, self.leaf_labels, self._leaf_ids, self.dynamics, self.seed,
+            self._t)
 
     # -- observation updates ---------------------------------------------------
 
@@ -286,22 +318,19 @@ class FilterStack:
         else:
             w = w / s
         self.leaf_weights = w
-        self.rebuild_tree(self.leaf_level())
+        self._rebuild(self._leaf_partition, w)
 
     def _update_coarse(self, class_id: int, level_value: float) -> None:
-        level = self.tree.alive_at(level_value)
-        ordered = sorted(level)
-        dists = np.array([self.tree.tree_class_distance(c, class_id) for c in ordered])
-        values = bounded_log_weights(dists)
+        part = self.tree.partition(self.tree.alive_ids(level_value))
+        values = bounded_log_weights(self.tree.lca_birth[part.rows, self.tree.row(class_id)])
         if values.sum() <= 0.0:
-            values = np.full(len(ordered), 1.0 / self.n_particles)
+            values = np.full(len(part.ids), 1.0 / self.n_particles)
             self.diagnostics["uniform_resets"] += 1
         # Every particle takes the value of its class in the level.
-        masks = [self._under(c) for c in ordered]
-        w = np.empty(self.n_particles)
-        for mask, v in zip(masks, values):
-            w[mask] = v
-        level_total = sum(float(w[mask].sum()) for mask in masks)
+        cols = self._leaf_columns()
+        cls, order, bounds = self._groups(part, cols)
+        w = values[cls]
+        level_total = sum(group_sums(w, order, bounds))
         if level_total <= 0.0:
             # Every populated class scored zero: no usable information.
             w[:] = 1.0 / self.n_particles
@@ -310,12 +339,12 @@ class FilterStack:
             # Keep the level's particle weights a distribution; the class
             # masses only depend on their ratios.
             w /= level_total
-        self.rebuild_tree(level, w)
+        self._rebuild(part, w, order, bounds)
         # Leaf classes in the level take these weights; the rest keep theirs,
         # rescaled by their class's probability ratio.
-        in_level = np.isin(self.leaf_labels, ordered)
+        in_level = ~part.leaf_below[cols]
         self.leaf_weights[in_level] = w[in_level]
-        self._scale_outside(level)
+        self._scale_outside(part, cols)
         s = self.leaf_weights.sum()
         if s <= 0.0:
             self.leaf_weights = np.full(self.n_particles, 1.0 / self.n_particles)
@@ -323,18 +352,15 @@ class FilterStack:
         else:
             self.leaf_weights = self.leaf_weights / s
 
-    def _scale_outside(self, level: set[int]) -> None:
-        """w *= P_t(c)/P_prev(c) for every particle of a leaf class outside `level`."""
+    def _scale_outside(self, part, cols: np.ndarray) -> None:
+        """w *= P_t(c)/P_prev(c) for every particle of a leaf class below the partition."""
         ratio = np.ones(len(self._leaf_ids))
-        for i, c in enumerate(self._leaf_ids):
-            c = int(c)
-            if c in level:
-                continue
+        for col, c in part.leaves_below:
             prev = self.prev_probs.get(c, 0.0)
             if prev > 0.0:
-                ratio[i] = self.class_probs[c] / prev
+                ratio[col] = self.class_probs[c] / prev
         if not np.all(ratio == 1.0):
-            self.leaf_weights = self.leaf_weights * ratio[self.leaf_labels]
+            self.leaf_weights = self.leaf_weights * ratio[cols]
 
     # -- resampling -------------------------------------------------------------
 
@@ -347,6 +373,8 @@ class FilterStack:
         n = self.n_particles
         w = self.leaf_weights
         s = w.sum()
+        if not np.isfinite(s):
+            raise InvalidInputError(f"particle weights have a non-finite total ({s})")
         if s <= 0.0:
             w = np.full(n, 1.0 / n)
             self.diagnostics["uniform_resets"] += 1
@@ -361,17 +389,15 @@ class FilterStack:
         self.leaf_positions = np.vstack([self.leaf_positions[idx], self.leaf_positions[src]])
         self.leaf_labels = np.concatenate([self.leaf_labels[idx], fresh])
         self.leaf_weights = np.full(n, 1.0 / n)
-        self.rebuild_tree(self.leaf_level())
+        self._rebuild(self._leaf_partition, self.leaf_weights)
 
     # -- queries -----------------------------------------------------------------
 
     def map_class(self, b: float) -> int:
         """Highest-probability alive class at level b (ties: birth, then id)."""
-        if b < 0:
-            raise InvalidInputError(f"level must be >= 0, got {b}")
-        alive = self.tree.alive_at(b)
-        return min(alive, key=lambda c: (-self.class_probs.get(c, 0.0),
-                                         self.tree.nodes[c].birth, c))
+        probs, nodes = self.class_probs, self.tree.nodes
+        return min(self.tree.alive_ids(b),
+                   key=lambda c: (-probs.get(c, 0.0), nodes[c].birth, c))
 
     def point_estimate(self) -> np.ndarray:
         """Weight-averaged particle position."""
@@ -383,11 +409,10 @@ class FilterStack:
         levels = [float(b) for b in levels]
         per_level = []
         for b in levels:
-            alive = sorted(self.tree.alive_at(b))
             per_level.append({
                 "b": b,
                 "classes": [{"id": int(c), "prob": float(self.class_probs.get(c, 0.0))}
-                            for c in alive],
+                            for c in self.tree.alive_ids(b)],
             })
         return {
             "t": self._t,

@@ -57,3 +57,21 @@ def naive_single_linkage(d: np.ndarray):
         clusters.add(merged)
         merges.append((dist, merged))
     return merges
+
+
+def walk_lca(tree, a: int, b: int) -> int:
+    """Lowest common ancestor by walking parent links (every node is its own ancestor)."""
+    ancestors = []
+    n = a
+    while n is not None:
+        ancestors.append(n)
+        n = tree.nodes[n].parent
+    n = b
+    while n not in ancestors:
+        n = tree.nodes[n].parent
+    return n
+
+
+def brute_alive(tree, b: float) -> set:
+    """Nodes with birth <= b < death, by scanning every node."""
+    return {n for n, node in tree.nodes.items() if node.birth <= b < node.death}

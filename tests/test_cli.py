@@ -86,6 +86,22 @@ def test_filter_replays_observation_file(tmp_path):
     assert len(lines) == 2
 
 
+def test_filter_reports_malformed_observation_file(tmp_path, capsys):
+    cpath = tmp_path / "c.jsonl"
+    run_cli(["gen", "--dataset", "fixed", "--out", str(cpath), "--seed", "3", "--n-points", "20"])
+    tpath = tmp_path / "tree.json"
+    run_cli(["cluster", "--trajectories", str(cpath), "--out-tree", str(tpath)])
+    opath = tmp_path / "obs.jsonl"
+    opath.write_text('{"t": 1, "position": [0.0, 1.0]}\n')
+    capsys.readouterr()
+    rc = run_cli(["filter", "--trajectories", str(cpath), "--tree", str(tpath),
+                  "--out", str(tmp_path / "s.jsonl"), "--observations", str(opath)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "line 1" in err and "'kind'" in err
+
+
 def test_eval_smoke_csv_schema(tmp_path):
     cfg = {"corpus_kind": "fixed", "corpus_n": 13, "n_points": 30, "corpus_seed": 3,
            "n_scenarios": 2, "n_repeats": 1, "seed": 5, "kappas": [0.3], "psis": [0.02],

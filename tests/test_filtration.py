@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import naive_single_linkage
+from helpers import brute_alive, naive_single_linkage, walk_lca
 from mhpf.errors import InvalidInputError
 from mhpf.filtration import ClusterTree, flat_tree, single_class_tree, single_linkage
 from mhpf.geometry import distance_matrix
@@ -241,3 +241,75 @@ def test_render_text_lists_every_node(hand_tree):
     text = hand_tree.render_text()
     for nid in hand_tree.nodes:
         assert f"node {nid} " in text
+
+
+def non_monotone_tree():
+    """A loaded tree whose root is born before its child, with a death that is no birth.
+
+    Leaf 2 is born at 0.25 and dies at 1.7; node 3 (born 2.0) dies at its
+    parent's birth 1.5, so it is never alive, and leaves 0 and 1 outlive the root's birth.
+    """
+    return ClusterTree.from_dict({"nodes": [
+        {"id": 0, "members": ["a"], "birth": 0.0, "death": 2.0, "parent": 3, "children": []},
+        {"id": 1, "members": ["b"], "birth": 0.0, "death": 2.0, "parent": 3, "children": []},
+        {"id": 2, "members": ["c"], "birth": 0.25, "death": 1.7, "parent": 4, "children": []},
+        {"id": 3, "members": ["a", "b"], "birth": 2.0, "death": 1.5, "parent": 4,
+         "children": [0, 1]},
+        {"id": 4, "members": ["a", "b", "c"], "birth": 1.5, "death": None, "parent": None,
+         "children": [2, 3]},
+    ], "root": 4})
+
+
+def oracle_trees():
+    rng = np.random.default_rng(31)
+    trees = [non_monotone_tree()]
+    for i in range(30):
+        m = int(rng.integers(1, 12))
+        if i % 2:
+            # Integer distances: many merges share a birth.
+            a = rng.integers(1, 4, size=(m, m)).astype(float)
+            d = np.triu(a, 1) + np.triu(a, 1).T
+        else:
+            d = random_distance_matrix(rng, m)
+        trees.append(single_linkage(d))
+    return trees
+
+
+def test_cached_alive_sets_match_brute_force():
+    for tree in oracle_trees():
+        points = sorted({n.birth for n in tree.nodes.values()}
+                        | {n.death for n in tree.nodes.values() if math.isfinite(n.death)})
+        probes = set(points)
+        probes |= {(a + b) / 2.0 for a, b in zip(points, points[1:])}
+        probes |= {0.0, points[-1] + 1.0, tree.root_birth * 10.0 + 1.0, math.inf}
+        for b in sorted(probes):
+            assert tree.alive_at(b) == brute_alive(tree, b), b
+            assert tree.alive_ids(b) == tuple(sorted(brute_alive(tree, b)))
+        assert tree.alive_at(float("nan")) == set()
+    tree = oracle_trees()[1]
+    tree.alive_at(0.0).add(99)  # callers get their own copy of the cached set
+    assert 99 not in tree.alive_at(0.0)
+
+
+def test_lca_table_matches_parent_walk():
+    for tree in oracle_trees():
+        for a, b in itertools.product(tree.nodes, repeat=2):
+            assert tree.tree_class_distance(a, b) == tree.nodes[walk_lca(tree, a, b)].birth
+
+
+def test_membership_matches_leaves_under():
+    leaves_seen = 0
+    for tree in oracle_trees():
+        leaves = np.array(tree.leaves())
+        for n in tree.nodes:
+            row = tree.membership[tree.row(n)]
+            assert np.array_equal(row, np.isin(leaves, tree.leaves_under(n)))
+            leaves_seen += int(row.sum())
+    assert leaves_seen > 0
+
+
+def test_partition_rejects_sets_that_do_not_cover_every_leaf_once(hand_tree):
+    assert hand_tree.partition({3, 2}).ids == (2, 3)
+    for bad in ({0, 1}, {3, 0, 2}, {4, 2}, {7}):
+        with pytest.raises(InvalidInputError):
+            hand_tree.partition(bad)

@@ -77,11 +77,18 @@ def test_coarse_small_noise_matches_nearest_class_rule(fixed_corpus, fixed_tree)
     idx = ClassPointIndex(fixed_tree, fixed_corpus)
     level = default_coarse_level(fixed_tree)
     alive = sorted(fixed_tree.alive_at(level))
+    by_id = {t.id: t for t in fixed_corpus}
+    member_points = {c: np.vstack([by_id[m].points for m in fixed_tree.nodes[c].members])
+                     for c in alive}
+
+    def nearest(c, z):
+        return float(np.sqrt(((member_points[c] - z) ** 2).sum(axis=1)).min())
+
     for _ in range(25):
         z = np.array([rng.uniform(0, 10), rng.uniform(-6, 6)])
         obs = gen_coarse(z, 1e-6, fixed_tree, fixed_corpus, level, 10,
                          np.random.default_rng(9), index=idx)
-        direct = min(alive, key=lambda c: (float(idx.kdtree_for(c).query(z)[0]), c))
+        direct = min(alive, key=lambda c: (nearest(c, z), c))
         assert obs.class_id == direct
 
 
@@ -175,3 +182,23 @@ def test_config_validation():
         ObsConfig(psi=0.1, coarse_prob=1.5)
     with pytest.raises(InvalidInputError):
         ObsConfig(psi=0.1, mode="bogus")
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"t": 1, "position": [0.0, 1.0]}', "missing field 'kind'"),
+    ('{"t": 1, "kind": "fine"}', "missing field 'position'"),
+    ('{"t": 1, "kind": "coarse", "level": 1.0}', "missing field 'class_id'"),
+    ('{"t": 1, "kind": "coarse", "class_id": 3}', "missing field 'level'"),
+    ('{"kind": "fine", "position": [0.0, 1.0]}', "missing field 't'"),
+    ('[1, 2]', "expected a JSON object"),
+    ('"fine"', "expected a JSON object"),
+    ('{"t": "one", "kind": "fine", "position": [0.0, 1.0]}', "invalid literal"),
+    ('{"t": 1, "kind": "radar", "position": [0.0, 1.0]}', "unknown observation kind"),
+    ('{"t": 1, "kind": "fine"', "Expecting"),
+])
+def test_load_observations_names_the_bad_line(tmp_path, line, message):
+    path = tmp_path / "obs.jsonl"
+    path.write_text('{"t": 1, "kind": "fine", "position": [0.0, 0.0]}\n\n' + line + "\n")
+    with pytest.raises(InvalidInputError, match="line 3") as exc:
+        load_observations(path)
+    assert message in str(exc.value)

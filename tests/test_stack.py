@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
@@ -5,9 +8,9 @@ from scipy.stats import chisquare
 from mhpf.dynamics import build_dynamics
 from mhpf.errors import InvalidInputError
 from mhpf.evaluation import LeafParticleFilter, mean_spacing
-from mhpf.filtration import single_linkage
+from mhpf.filtration import ClusterTree, single_linkage
 from mhpf.geometry import Trajectory, distance_matrix
-from mhpf.obsgen import bbox_diagonal, gen_fine
+from mhpf.obsgen import bbox_diagonal, gen_coarse, gen_fine
 from mhpf.seeding import PHASE_OBSERVE, child_seed, substream
 from mhpf.stack import (CoarseObservation, FilterStack, FineObservation,
                         bounded_log_weights, check_consistency, split_counts,
@@ -112,10 +115,12 @@ def test_rebuild_zero_prev_parent_splits_uniformly(hand_stack):
     assert stack.class_probs[3] == stack.prev_probs[3] == 0.0
     # Pushing fresh mass through an exhausted parent has no conditional to
     # scale, so the children split it evenly.
-    out = {}
-    stack._assign_down(3, 0.5, out)
-    assert out[0] == pytest.approx(0.25)
-    assert out[1] == pytest.approx(0.25)
+    # Half the particles move under node 3 (all into leaf 0) before the update.
+    stack.leaf_labels[:N // 2] = 0
+    stack.rebuild_tree({3, 2}, np.full(N, 1.0 / N))
+    assert stack.class_probs[3] == pytest.approx(0.5)
+    assert stack.class_probs[0] == pytest.approx(0.25)
+    assert stack.class_probs[1] == pytest.approx(0.25)
 
 
 def test_internal_nodes_hold_all_particles_of_one_leaf(hand_stack):
@@ -501,3 +506,94 @@ def test_update_rejects_bad_observation(hand_stack):
     for a, b in zip(after[1:4], before[1:4]):
         assert np.array_equal(a, b)
     assert after[4:] == before[4:]
+
+
+def relabelled(tree, new_ids):
+    """The tree with node i renamed new_ids[i]."""
+    def rename(n):
+        return None if n is None else new_ids[n]
+
+    data = tree.to_dict()
+    for rec in data["nodes"]:
+        rec["id"], rec["parent"] = rename(rec["id"]), rename(rec["parent"])
+        rec["children"] = [rename(c) for c in rec["children"]]
+    data["root"] = rename(data["root"])
+    return ClusterTree.from_dict(data)
+
+
+@pytest.mark.parametrize("new_ids", [(5, 7, 9, 10, 11), (5, 7, 9, 1, 0)])
+def test_non_contiguous_leaf_ids_step_like_the_original(hand_tree, new_ids):
+    # With kappa = 0 the dynamics draw no noise, so the renamed stack must
+    # follow the original one step for step.
+    trajs = hand_trajectories()
+
+    def make(tree):
+        dyn = build_dynamics(tree, trajs, kappa=0.0, epsilon_floor=0.5)
+        prior = {c: 1.0 / 3.0 for c in tree.leaves()}
+        return FilterStack(tree, dyn, prior, start_point_sampler(tree, trajs), N, 0.05, seed=8)
+
+    tree = relabelled(hand_tree, new_ids)
+    assert tree.leaves() == [5, 7, 9]
+    stack, original = make(tree), make(hand_tree)
+    rng = np.random.default_rng(12)
+    for t in range(12):
+        fine = np.array([0.2 * t, rng.uniform(0.0, 3.0)])
+        coarse = [(3, 1.5), (2, 1.5), (0, 0.5), (4, 2.0)][t % 4]
+        stack.step([FineObservation(fine), CoarseObservation(new_ids[coarse[0]], coarse[1])])
+        original.step([FineObservation(fine), CoarseObservation(*coarse)])
+        check_consistency(stack)
+        assert np.array_equal(stack.leaf_labels, np.array(new_ids)[original.leaf_labels])
+        assert np.array_equal(stack.leaf_positions, original.leaf_positions)
+        for nid, p in original.class_probs.items():
+            assert stack.class_probs[new_ids[nid]] == pytest.approx(p, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rebuild_rejects_non_finite_weights(hand_stack, bad):
+    before = dict(hand_stack.class_probs)
+    w = np.full(N, 1.0 / N)
+    w[3] = bad
+    for level in (hand_stack.leaf_level(), {3, 2}):
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            hand_stack.rebuild_tree(level, w)
+        assert hand_stack.class_probs == before
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_resample_rejects_non_finite_weights(hand_stack, bad):
+    hand_stack.leaf_weights = np.full(N, 1.0 / N)
+    hand_stack.leaf_weights[3] = bad
+    before = stack_state(hand_stack)
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        hand_stack.resample()
+    after = stack_state(hand_stack)
+    for a, b in zip(after[1:4], before[1:4]):
+        np.testing.assert_array_equal(a, b)
+    assert after[4:] == before[4:]
+
+
+# sha256 of the all-level snapshots below, recorded before the class-mass
+# bookkeeping moved onto the tree's cached tables: any change to a
+# probability, a MAP class, a point estimate or a coarse draw shows here.
+GOLDEN_MIXED_RUN_SHA256 = "f17ef179b043f4d28e34393fd42b221512eb4d09268d349e87ffefec6eace7dc"
+
+
+def test_mixed_run_snapshots_match_golden(fixed_corpus, fixed_tree):
+    dyn = build_dynamics(fixed_tree, fixed_corpus, kappa=0.3,
+                         epsilon_floor=2 * mean_spacing(fixed_corpus))
+    prior = {c: 1.0 / fixed_tree.leaf_count for c in fixed_tree.leaves()}
+    stack = FilterStack(fixed_tree, dyn, prior, start_point_sampler(fixed_tree, fixed_corpus),
+                        N, 0.01, seed=2718)
+    scale = bbox_diagonal(fixed_corpus)
+    births = fixed_tree.unique_births()
+    truth = fixed_corpus[5].points
+    rng = np.random.default_rng(61)
+    digest = hashlib.sha256()
+    for t in range(1, 61):
+        z = truth[min(t, len(truth) - 1)]
+        obs = [gen_fine(z, 0.02, scale, rng)]
+        if rng.random() < 0.5:
+            level = float(births[int(rng.integers(len(births)))])
+            obs.append(gen_coarse(z, 0.02, fixed_tree, fixed_corpus, level, 10, rng, scale=scale))
+        digest.update(json.dumps(stack.step(obs), sort_keys=True).encode() + b"\n")
+    assert digest.hexdigest() == GOLDEN_MIXED_RUN_SHA256
