@@ -3,16 +3,17 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from . import datasets, evaluation
-from .dynamics import build_dynamics
 from .errors import GenerationError, InvalidInputError
 from .filtration import ClusterTree, single_linkage
 from .geometry import distance_matrix, load_trajectories, save_trajectories
 from .obsgen import load_observations
 from .seeding import PHASE_DATA, substream
+from .stack import FilterStack
 
 
 def _add_gen(sub):
@@ -40,24 +41,20 @@ def _add_gen(sub):
 
 def cmd_gen(args) -> int:
     rng = substream(args.seed, PHASE_DATA)
-    if args.dataset == "junction":
-        n = args.n or 14
-        per = max(1, n // args.branches)
-        raw = datasets.gen_junction(args.branches, per, args.jitter, rng)
-    elif args.dataset == "fixed":
-        raw = datasets.gen_fixed_endpoints(args.n or 13, rng)
-    elif args.dataset == "obstacle":
-        raw = datasets.gen_obstacle_world(args.n or 33, rng)
-    elif args.dataset == "harbor":
-        raw = datasets.gen_harbor_corpus(args.n or 194, rng, n_points=args.n_points)
-    else:  # walk
+    if args.dataset != "walk":
+        raw = datasets.generate(args.dataset, args.n, rng, args.n_points, args.branches,
+                                args.jitter)
+    else:
         if not args.grid or not args.starts:
             raise InvalidInputError("--dataset walk needs --grid and --starts")
         grid = datasets.load_density_grid(args.grid)
         starts = []
         for tok in args.starts.split(";"):
-            c, r = tok.split(",")
-            starts.append((int(c), int(r)))
+            try:
+                c, r = tok.split(",")
+                starts.append((int(c), int(r)))
+            except ValueError:
+                raise InvalidInputError(f"--starts: {tok!r} is not a 'col,row' cell") from None
         cfg = datasets.WalkConfig(
             n_trajectories=args.n or len(starts), starts=starts,
             max_steps=args.max_steps, direction_persistence=args.persistence,
@@ -121,36 +118,23 @@ def _add_filter(sub):
 def cmd_filter(args) -> int:
     corpus = load_trajectories(args.trajectories)
     tree = ClusterTree.load(args.tree)
-    from .evaluation import RunParams, Scenario, make_observation_plan, mean_spacing
-    from .obsgen import ClassPointIndex, bbox_diagonal
-    from .stack import FilterStack, start_point_sampler
-
-    floor = args.epsilon_floor
-    if floor is None:
-        floor = 2.0 * mean_spacing(corpus)
-    dyn = build_dynamics(tree, corpus, kappa=args.kappa, epsilon_floor=floor)
-
+    truth = None
+    if not args.observations:
+        if not args.truth_id:
+            raise InvalidInputError("need --truth-id or --observations")
+        truth = {t.id: t for t in corpus}.get(args.truth_id)
+        if truth is None:
+            raise InvalidInputError(f"unknown trajectory id {args.truth_id!r}")
+    scenario = evaluation.Scenario(0, corpus, tree, truth, None, args.epsilon_floor)
+    params = evaluation.RunParams(
+        n_particles=args.n_particles, depletion=args.depletion, kappa=args.kappa,
+        psi=args.psi, mode=args.mode, coarse_prob=args.coarse_prob,
+        coarse_level=args.coarse_level, lead_in_fraction=args.lead_in)
     if args.observations:
         plan = load_observations(args.observations)
     else:
-        if not args.truth_id:
-            raise InvalidInputError("need --truth-id or --observations")
-        by_id = {t.id: t for t in corpus}
-        if args.truth_id not in by_id:
-            raise InvalidInputError(f"unknown trajectory id {args.truth_id!r}")
-        scenario = Scenario(
-            index=0, corpus=corpus, tree=tree, truth=by_id[args.truth_id],
-            truth_leaf=tree.leaf_for(args.truth_id), scale=bbox_diagonal(corpus),
-            epsilon_floor=floor, dynamics_base=dyn,
-            point_index=ClassPointIndex(tree, corpus))
-        params = RunParams(kappa=args.kappa, psi=args.psi, mode=args.mode,
-                           coarse_prob=args.coarse_prob, coarse_level=args.coarse_level,
-                           lead_in_fraction=args.lead_in)
-        plan = make_observation_plan(scenario, params, args.seed, repeat=0)
-
-    prior = {c: 1.0 / tree.leaf_count for c in tree.leaves()}
-    stack = FilterStack(tree, dyn, prior, start_point_sampler(tree, corpus),
-                        args.n_particles, args.depletion, args.seed)
+        plan = evaluation.make_observation_plan(scenario, params, args.seed, repeat=0)
+    stack = FilterStack(tree, *evaluation.filter_args(scenario, params, args.seed))
     levels = None
     if args.levels:
         levels = [float(x) for x in args.levels.split(",")]
@@ -174,15 +158,25 @@ def _add_eval(sub):
     return p
 
 
+def _experiment_config(path) -> evaluation.ExperimentConfig:
+    """An ExperimentConfig from a JSON object; InvalidInputError names a bad key."""
+    with open(path) as fh:
+        cfg_dict = json.load(fh)
+    if not isinstance(cfg_dict, dict):
+        raise InvalidInputError(f"{path}: expected a JSON object, got {type(cfg_dict).__name__}")
+    fields = {f.name: f for f in dataclasses.fields(evaluation.ExperimentConfig)}
+    for key, value in cfg_dict.items():
+        if key not in fields:
+            raise InvalidInputError(f"{path}: unknown key {key!r}")
+        if isinstance(fields[key].default, tuple):  # filters, kappas, psis, lead_in_fractions
+            if not isinstance(value, list):
+                raise InvalidInputError(f"{path}: {key!r} must be a list, got {value!r}")
+            cfg_dict[key] = tuple(value)
+    return evaluation.ExperimentConfig(**cfg_dict)
+
+
 def cmd_eval(args) -> int:
-    cfg_dict = {}
-    if args.config:
-        with open(args.config) as fh:
-            cfg_dict = json.load(fh)
-    for key in ("filters", "kappas", "psis", "lead_in_fractions"):
-        if key in cfg_dict:
-            cfg_dict[key] = tuple(cfg_dict[key])
-    cfg = evaluation.ExperimentConfig(**cfg_dict)
+    cfg = _experiment_config(args.config) if args.config else evaluation.ExperimentConfig()
     if args.seed is not None:
         cfg.seed = args.seed
     if args.workers is not None:

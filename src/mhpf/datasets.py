@@ -171,7 +171,6 @@ class WalkConfig:
     max_steps: int = 400
     direction_persistence: float = 0.8
     density_exponent: float = 1.0
-    n_points: int | None = None
 
     def __post_init__(self):
         if self.n_trajectories < 1:
@@ -225,17 +224,13 @@ def walk_from_density(grid: DensityGrid, cfg: WalkConfig,
                       rng: np.random.Generator) -> list[Trajectory]:
     """Weighted random walks: denser neighbors attract, headings persist.
 
-    Walks round-robin over the start cells, stop at max_steps or a
-    zero-density dead end, and are optionally resampled to cfg.n_points.
+    Walks round-robin over the start cells and stop at max_steps or a
+    zero-density dead end.
     """
     out = []
     for i in range(cfg.n_trajectories):
         start = cfg.starts[i % len(cfg.starts)]
-        pts = _walk_once(grid, start, cfg, rng)
-        t = Trajectory(f"walk{i:03d}", pts)
-        if cfg.n_points is not None and len(t) >= 2:
-            t = discretize_uniform(t, cfg.n_points)
-        out.append(t)
+        out.append(Trajectory(f"walk{i:03d}", _walk_once(grid, start, cfg, rng)))
     return out
 
 
@@ -353,3 +348,28 @@ def gen_harbor_corpus(n: int, rng: np.random.Generator, n_points: int = 100,
         t = discretize_uniform(Trajectory(f"walk{len(out):03d}", pts), n_points)
         out.append(t)
     return out
+
+
+# Trajectories in a procedural corpus when no count is given.
+DEFAULT_SIZES = {"junction": 14, "fixed": 13, "obstacle": 33, "harbor": 194}
+
+
+def generate(kind: str, n: int | None, rng: np.random.Generator, n_points: int = 100,
+             branches: int = 2, jitter: float = 0.15) -> list[Trajectory]:
+    """The procedural corpus `kind` of about n trajectories (DEFAULT_SIZES if n is falsy).
+
+    A junction corpus has n // branches trajectories per branch, at least
+    one; harbor walks are resampled to n_points.
+    """
+    if kind not in DEFAULT_SIZES:
+        raise InvalidInputError(f"unknown corpus kind {kind!r}")
+    n = n or DEFAULT_SIZES[kind]
+    if kind == "junction":
+        if branches < 2:
+            raise InvalidInputError("need at least two branches")
+        return gen_junction(branches, max(1, n // branches), jitter, rng)
+    if kind == "fixed":
+        return gen_fixed_endpoints(n, rng)
+    if kind == "obstacle":
+        return gen_obstacle_world(n, rng)
+    return gen_harbor_corpus(n, rng, n_points=n_points)

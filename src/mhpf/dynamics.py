@@ -8,7 +8,8 @@ the class's mean step length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -46,24 +47,17 @@ class ClassDynamics:
             raise InvalidInputError(f"class {self.class_id}: no dynamics samples")
         if self.epsilon <= 0:
             raise InvalidInputError(f"class {self.class_id}: epsilon must be > 0")
-        if self.kappa < 0:
-            raise InvalidInputError(f"class {self.class_id}: kappa must be >= 0")
+        if not (math.isfinite(self.kappa) and self.kappa >= 0):
+            raise InvalidInputError(f"class {self.class_id}: kappa must be finite and >= 0, "
+                                    f"got {self.kappa!r}")
 
     @property
     def dim(self) -> int:
         return self.positions.shape[1]
 
     def with_kappa(self, kappa: float) -> "ClassDynamics":
-        """Cheap copy sharing the sample arrays."""
-        out = object.__new__(ClassDynamics)
-        out.class_id = self.class_id
-        out.positions = self.positions
-        out.velocities = self.velocities
-        out.epsilon = self.epsilon
-        out.kappa = float(kappa)
-        out.velocity_scale = self.velocity_scale
-        out.centered_noise = self.centered_noise
-        return out
+        """Checked copy at another noise fraction, sharing the sample arrays."""
+        return replace(self, kappa=float(kappa))
 
     def _dense_velocities(self, zs: np.ndarray):
         d = cdist(zs, self.positions)
@@ -149,17 +143,15 @@ def harvest_samples(trajectories):
 
 
 def build_dynamics(tree, trajectories, kappa: float, epsilon_floor: float,
-                   epsilon_override: float | None = None,
                    centered_noise: bool = False) -> dict[int, ClassDynamics]:
     """One ClassDynamics per leaf class plus one for the root.
 
     The filter stack and the leaf-class baseline move particles by their leaf
     class; the pooled baseline follows the root. The neighborhood radius of a
     class is its birth index floored at `epsilon_floor` (leaves are born at
-    0, so the floor is what keeps their balls non-degenerate);
-    `epsilon_override` forces one global radius instead.
+    0, so the floor is what keeps their balls non-degenerate).
     """
-    if epsilon_floor <= 0 and epsilon_override is None:
+    if epsilon_floor <= 0:
         raise InvalidInputError("epsilon_floor must be > 0")
     by_id = {t.id: t for t in trajectories}
     out: dict[int, ClassDynamics] = {}
@@ -173,16 +165,12 @@ def build_dynamics(tree, trajectories, kappa: float, epsilon_floor: float,
         if positions.size == 0:
             raise InvalidInputError(f"class {nid} has no dynamics samples "
                                     "(all member trajectories are single points)")
-        if epsilon_override is not None:
-            eps = float(epsilon_override)
-        else:
-            eps = max(node.birth, epsilon_floor)
         scale = float(np.sqrt((velocities ** 2).sum(axis=1)).mean())
         out[nid] = ClassDynamics(
             class_id=nid,
             positions=positions,
             velocities=velocities,
-            epsilon=eps,
+            epsilon=max(node.birth, epsilon_floor),
             kappa=float(kappa),
             velocity_scale=scale,
             centered_noise=centered_noise,

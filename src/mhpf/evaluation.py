@@ -16,9 +16,11 @@ ground truth, and summarizes cells with rank-sum tests against BL1.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.stats import ranksums
@@ -110,8 +112,7 @@ class LeafParticleFilter:
         return class_masses(self.labels, self.weights, [int(c) for c in self._class_ids])
 
     def map_class(self) -> int:
-        probs = self.class_probs()
-        return min((int(c) for c in self._class_ids), key=lambda c: (-probs[c], c))
+        return _most_probable(self.class_probs())
 
     def point_estimate(self) -> np.ndarray:
         return weighted_mean(self.positions, self.weights)
@@ -123,7 +124,7 @@ class LeafParticleFilter:
             "t": self._t,
             "levels": [{"b": 0.0, "classes": classes}],
             "point_estimate": [float(x) for x in self.point_estimate()],
-            "map_class": [{"b": 0.0, "class_id": int(self.map_class())}],
+            "map_class": [{"b": 0.0, "class_id": _most_probable(probs)}],
         }
 
     def step(self, observations=()) -> dict:
@@ -164,22 +165,39 @@ class LeafParticleFilter:
         self.weights = np.full(n, 1.0 / n)
 
 
+def _most_probable(probs: dict[int, float]) -> int:
+    """The class of highest probability; ties go to the smallest id."""
+    return min(probs, key=lambda c: (-probs[c], c))
+
+
 # -- scenarios -----------------------------------------------------------------
 
 
 @dataclass
 class Scenario:
-    """One held-out trial: corpus, tree, dynamics, and the ground truth."""
+    """One held-out trial: corpus, tree, dynamics, and the ground truth.
+
+    The dynamics radius floor `epsilon_floor` defaults to twice the corpus's
+    mean point spacing.
+    """
 
     index: int
     corpus: list
     tree: object
-    truth: Trajectory
-    truth_leaf: int
-    scale: float
-    epsilon_floor: float
-    dynamics_base: dict = field(repr=False, default=None)
-    point_index: ClassPointIndex = field(repr=False, default=None)
+    truth: Trajectory | None
+    truth_leaf: int | None
+    epsilon_floor: InitVar[float | None] = None
+    scale: float = field(init=False)
+    dynamics_base: dict = field(init=False, repr=False)
+    point_index: ClassPointIndex = field(init=False, repr=False)
+
+    def __post_init__(self, epsilon_floor):
+        if epsilon_floor is None:
+            epsilon_floor = 2.0 * mean_spacing(self.corpus)
+        self.scale = bbox_diagonal(self.corpus)
+        self.dynamics_base = build_dynamics(self.tree, self.corpus, kappa=0.0,
+                                            epsilon_floor=epsilon_floor)
+        self.point_index = ClassPointIndex(self.tree, self.corpus)
 
 
 def mean_spacing(trajectories) -> float:
@@ -213,20 +231,7 @@ def build_scenario(trajectories, truth_index: int, epsilon_floor: float | None =
         truth_leaf = tree.leaf_for(nearest.id)
     else:
         truth_leaf = tree.leaf_for(truth.id)
-    if epsilon_floor is None:
-        epsilon_floor = 2.0 * mean_spacing(corpus)
-    dynamics_base = build_dynamics(tree, corpus, kappa=0.0, epsilon_floor=epsilon_floor)
-    return Scenario(
-        index=index,
-        corpus=corpus,
-        tree=tree,
-        truth=truth,
-        truth_leaf=truth_leaf,
-        scale=bbox_diagonal(corpus),
-        epsilon_floor=epsilon_floor,
-        dynamics_base=dynamics_base,
-        point_index=ClassPointIndex(tree, corpus),
-    )
+    return Scenario(index, corpus, tree, truth, truth_leaf, epsilon_floor)
 
 
 @dataclass
@@ -247,7 +252,6 @@ class ScenarioResult:
     mse: list
     tree_distance: list
     convergence_step: int | None
-    meta: dict
 
 
 def make_observation_plan(scenario: Scenario, params: RunParams, seed, repeat: int):
@@ -264,6 +268,19 @@ def make_observation_plan(scenario: Scenario, params: RunParams, seed, repeat: i
                             scenario.scale, rng, index=scenario.point_index)
 
 
+def filter_args(scenario: Scenario, params: RunParams, seed) -> tuple:
+    """The arguments FilterStack takes after the tree, for one trial.
+
+    The scenario's dynamics at `params.kappa`, a uniform leaf prior and
+    class-mean start points, then the particle count, depletion and seed.
+    """
+    tree = scenario.tree
+    return ({nid: d.with_kappa(params.kappa) for nid, d in scenario.dynamics_base.items()},
+            {c: 1.0 / tree.leaf_count for c in tree.leaves()},
+            start_point_sampler(tree, scenario.corpus),
+            params.n_particles, params.depletion, seed)
+
+
 def _eval_level(scenario: Scenario, params: RunParams) -> float:
     if params.eval_level is not None:
         return params.eval_level
@@ -272,84 +289,54 @@ def _eval_level(scenario: Scenario, params: RunParams) -> float:
     return default_coarse_level(scenario.tree)
 
 
-def _uniform_leaf_prior(tree) -> dict[int, float]:
-    leaves = tree.leaves()
-    return {c: 1.0 / len(leaves) for c in leaves}
+def _trial(scenario, params, seed, repeat, plan, start, map_node=None) -> ScenarioResult:
+    """Score, step by step, the filter whose step function `start(filter_args, level)` returns.
 
-
-def _result(scenario, params, kind, mses, dists, repeat) -> ScenarioResult:
-    conv = convergence_time(dists, scenario.tree.root_birth)
-    return ScenarioResult(
-        mse=mses, tree_distance=dists, convergence_step=conv,
-        meta={"filter": kind, "scenario": scenario.index, "repeat": repeat,
-              "kappa": params.kappa, "psi": params.psi, "mode": params.mode,
-              "lead_in": params.lead_in_fraction,
-              "root_birth": scenario.tree.root_birth},
-    )
+    The point estimate is scored by `mse`, the MAP class at the evaluation
+    level (or `map_node`, the node a one-class filter stands for) by `map_tree_distance`.
+    """
+    if plan is None:
+        plan = make_observation_plan(scenario, params, seed, repeat)
+    tree = scenario.tree
+    level = _eval_level(scenario, params)
+    step = start(filter_args(scenario, params, child_seed(seed, scenario.index, repeat)), level)
+    mses, dists = [], []
+    for t, obs in enumerate(plan, start=1):
+        snap = step(obs)
+        mses.append(mse(snap["point_estimate"], scenario.truth.points[t]))
+        node = snap["map_class"][0]["class_id"] if map_node is None else map_node
+        dists.append(map_tree_distance(tree, node, scenario.truth_leaf, level))
+    return ScenarioResult(mses, dists, convergence_time(dists, tree.root_birth))
 
 
 def run_mhpf(scenario: Scenario, params: RunParams, seed, repeat: int = 0,
              plan=None) -> ScenarioResult:
     """Full hierarchical run: cluster tree, stacked filters, both obs kinds."""
-    if plan is None:
-        plan = make_observation_plan(scenario, params, seed, repeat)
-    tree = scenario.tree
-    dyn = {nid: d.with_kappa(params.kappa) for nid, d in scenario.dynamics_base.items()}
-    stack = FilterStack(tree, dyn, _uniform_leaf_prior(tree),
-                        start_point_sampler(tree, scenario.corpus),
-                        params.n_particles, params.depletion,
-                        child_seed(seed, scenario.index, repeat))
-    level = _eval_level(scenario, params)
-    mses, dists = [], []
-    for t, obs in enumerate(plan, start=1):
-        snap = stack.step(obs, snapshot_levels=[level])
-        mses.append(mse(snap["point_estimate"], scenario.truth.points[t]))
-        map_node = snap["map_class"][0]["class_id"]
-        dists.append(map_tree_distance(tree, map_node, scenario.truth_leaf, level))
-    return _result(scenario, params, "mhpf", mses, dists, repeat)
+    def start(args, level):
+        return partial(FilterStack(scenario.tree, *args).step, snapshot_levels=[level])
+    return _trial(scenario, params, seed, repeat, plan, start)
 
 
 def run_bl1(scenario: Scenario, params: RunParams, seed, repeat: int = 0,
             plan=None) -> ScenarioResult:
     """Flat filter over leaf classes; coarse observations are ignored."""
-    if plan is None:
-        plan = make_observation_plan(scenario, params, seed, repeat)
-    tree = scenario.tree
-    leaf_dyn = {nid: scenario.dynamics_base[nid].with_kappa(params.kappa)
-                for nid in tree.leaves()}
-    pf = LeafParticleFilter(tree.leaves(), leaf_dyn, _uniform_leaf_prior(tree),
-                            start_point_sampler(tree, scenario.corpus),
-                            params.n_particles, params.depletion,
-                            child_seed(seed, scenario.index, repeat))
-    level = _eval_level(scenario, params)
-    mses, dists = [], []
-    for t, obs in enumerate(plan, start=1):
-        snap = pf.step(obs)
-        mses.append(mse(snap["point_estimate"], scenario.truth.points[t]))
-        map_leaf = snap["map_class"][0]["class_id"]
-        dists.append(map_tree_distance(tree, map_leaf, scenario.truth_leaf, level))
-    return _result(scenario, params, "bl1", mses, dists, repeat)
+    def start(args, level):
+        return LeafParticleFilter(scenario.tree.leaves(), *args).step
+    return _trial(scenario, params, seed, repeat, plan, start)
 
 
 def run_bl2(scenario: Scenario, params: RunParams, seed, repeat: int = 0,
             plan=None) -> ScenarioResult:
-    """Single-class filter following the pooled root dynamics."""
-    if plan is None:
-        plan = make_observation_plan(scenario, params, seed, repeat)
-    tree = scenario.tree
-    root_dyn = scenario.dynamics_base[tree.root].with_kappa(params.kappa)
-    pooled_tree = single_class_tree([t.id for t in scenario.corpus])
-    pf = LeafParticleFilter([0], {0: root_dyn}, {0: 1.0},
-                            start_point_sampler(pooled_tree, scenario.corpus),
-                            params.n_particles, params.depletion,
-                            child_seed(seed, scenario.index, repeat))
-    level = _eval_level(scenario, params)
-    mses, dists = [], []
-    for t, obs in enumerate(plan, start=1):
-        snap = pf.step(obs)
-        mses.append(mse(snap["point_estimate"], scenario.truth.points[t]))
-        dists.append(map_tree_distance(tree, tree.root, scenario.truth_leaf, level))
-    return _result(scenario, params, "bl2", mses, dists, repeat)
+    """Single-class filter following the pooled root dynamics, scored as the root."""
+    root = scenario.tree.root
+
+    def start(args, level):
+        dyn, _, _, n_particles, depletion, trial_seed = args
+        pooled = single_class_tree([t.id for t in scenario.corpus])
+        return LeafParticleFilter([0], {0: dyn[root]}, {0: 1.0},
+                                  start_point_sampler(pooled, scenario.corpus),
+                                  n_particles, depletion, trial_seed).step
+    return _trial(scenario, params, seed, repeat, plan, start, map_node=root)
 
 
 _RUNNERS = {"mhpf": run_mhpf, "bl1": run_bl1, "bl2": run_bl2}
@@ -392,21 +379,12 @@ class ExperimentConfig:
 
 def load_corpus(cfg: ExperimentConfig) -> list[Trajectory]:
     rng = substream(cfg.corpus_seed, PHASE_DATA)
-    kind = cfg.corpus_kind
-    if kind == "file":
+    if cfg.corpus_kind == "file":
         if not cfg.corpus_path:
             raise InvalidInputError("corpus_kind 'file' needs corpus_path")
         raw = load_trajectories(cfg.corpus_path)
-    elif kind == "junction":
-        raw = datasets.gen_junction(2, (cfg.corpus_n or 14) // 2, 0.15, rng)
-    elif kind == "fixed":
-        raw = datasets.gen_fixed_endpoints(cfg.corpus_n or 13, rng)
-    elif kind == "obstacle":
-        raw = datasets.gen_obstacle_world(cfg.corpus_n or 33, rng)
-    elif kind == "harbor":
-        raw = datasets.gen_harbor_corpus(cfg.corpus_n or 194, rng, n_points=cfg.n_points)
     else:
-        raise InvalidInputError(f"unknown corpus kind {kind!r}")
+        raw = datasets.generate(cfg.corpus_kind, cfg.corpus_n, rng, n_points=cfg.n_points)
     return [datasets.discretize_uniform(t, cfg.n_points) for t in raw]
 
 
@@ -417,15 +395,8 @@ def select_scenarios(n_trajectories: int, n_scenarios: int, seed) -> list[int]:
 
 
 def _cells(cfg: ExperimentConfig):
-    cells = []
-    for kappa in cfg.kappas:
-        for psi in cfg.psis:
-            if cfg.mode == "lead_in":
-                for lead in cfg.lead_in_fractions:
-                    cells.append((kappa, psi, lead))
-            else:
-                cells.append((kappa, psi, 0.0))
-    return cells
+    leads = cfg.lead_in_fractions if cfg.mode == "lead_in" else (0.0,)
+    return list(itertools.product(cfg.kappas, cfg.psis, leads))
 
 
 def _run_trial(args):
@@ -476,70 +447,56 @@ def run_experiment(cfg: ExperimentConfig, corpus=None, scenarios=None):
     return raw, summarize(raw)
 
 
-def _final_quarter(values):
-    k = max(1, math.ceil(len(values) / 4))
-    return values[-k:]
-
-
 def summarize(raw_rows):
     """Per-cell, per-filter aggregates recomputed purely from raw rows."""
-    runs: dict = {}
+    series: dict = {}
     for row in raw_rows:
         cell = (row["mode"], row["kappa"], row["psi"], row["lead_in"])
         key = (cell, row["filter"], row["scenario"], row["repeat"])
-        runs.setdefault(key, {"mse": [], "dist": [], "root": row["root_birth"]})
-        runs[key]["mse"].append((row["step"], row["mse"]))
-        runs[key]["dist"].append((row["step"], row["tree_distance"]))
+        rec = series.setdefault(key, {"mse": [], "dist": [], "root": row["root_birth"]})
+        rec["mse"].append((row["step"], row["mse"]))
+        rec["dist"].append((row["step"], row["tree_distance"]))
 
-    per_run: dict = {}
-    for (cell, kind, scenario, repeat), rec in runs.items():
+    groups: dict = {}  # (cell, filter) -> scenario -> per-run metrics, all in sorted order
+    for (cell, kind, scenario, _), rec in sorted(series.items()):
         ms = [v for _, v in sorted(rec["mse"])]
         ds = [v for _, v in sorted(rec["dist"])]
         conv = convergence_time(ds, rec["root"])
-        per_run[(cell, kind, scenario, repeat)] = {
+        groups.setdefault((cell, kind), {}).setdefault(scenario, []).append({
             "mean_mse": float(np.mean(ms)),
             "mean_dist": float(np.mean(ds)),
-            "final_quarter": float(np.mean(_final_quarter(ds))),
+            "final_quarter": float(np.mean(ds[-max(1, math.ceil(len(ds) / 4)):])),
             "conv": len(ds) if conv is None else conv,
-        }
+        })
 
-    def scenario_means(cell, kind, metric):
-        by_scenario: dict = {}
-        for (c, k, scenario, _), rec in per_run.items():
-            if c == cell and k == kind:
-                by_scenario.setdefault(scenario, []).append(rec[metric])
-        return [float(np.mean(v)) for _, v in sorted(by_scenario.items())]
+    def scenario_means(by_scenario, metric):
+        return [float(np.mean([r[metric] for r in runs])) for runs in by_scenario.values()]
 
-    cells = sorted({k[0] for k in per_run})
-    kinds = sorted({k[1] for k in per_run})
     out = []
-    for cell in cells:
-        for kind in kinds:
-            recs = [rec for (c, f, _, _), rec in sorted(per_run.items())
-                    if c == cell and f == kind]
-            if not recs:
-                continue
-            mode, kappa, psi, lead = cell
-            row = {
-                "mode": mode, "kappa": kappa, "psi": psi, "lead_in": lead,
-                "filter": kind, "runs": len(recs),
-                "mean_mse": float(np.mean([r["mean_mse"] for r in recs])),
-                "sd_mse": float(np.std([r["mean_mse"] for r in recs], ddof=1)) if len(recs) > 1 else 0.0,
-                "mean_tree_distance": float(np.mean([r["mean_dist"] for r in recs])),
-                "sd_tree_distance": float(np.std([r["mean_dist"] for r in recs], ddof=1)) if len(recs) > 1 else 0.0,
-                "mean_final_quarter_distance": float(np.mean([r["final_quarter"] for r in recs])),
-                "mean_convergence_steps": float(np.mean([r["conv"] for r in recs])),
-                "p_mse_vs_bl1": "", "p_dist_vs_bl1": "", "p_conv_vs_bl1": "",
-            }
-            if kind == "mhpf" and "bl1" in kinds:
-                for metric, col in (("mean_mse", "p_mse_vs_bl1"),
-                                    ("mean_dist", "p_dist_vs_bl1"),
-                                    ("conv", "p_conv_vs_bl1")):
-                    a = scenario_means(cell, "mhpf", metric)
-                    b = scenario_means(cell, "bl1", metric)
-                    if len(a) >= 2 and len(b) >= 2:
-                        row[col] = float(ranksums(a, b).pvalue)
-            out.append(row)
+    for (cell, kind), by_scenario in groups.items():
+        recs = [r for runs in by_scenario.values() for r in runs]
+        mode, kappa, psi, lead = cell
+        row = {
+            "mode": mode, "kappa": kappa, "psi": psi, "lead_in": lead,
+            "filter": kind, "runs": len(recs),
+            "mean_mse": float(np.mean([r["mean_mse"] for r in recs])),
+            "sd_mse": float(np.std([r["mean_mse"] for r in recs], ddof=1)) if len(recs) > 1 else 0.0,
+            "mean_tree_distance": float(np.mean([r["mean_dist"] for r in recs])),
+            "sd_tree_distance": float(np.std([r["mean_dist"] for r in recs], ddof=1)) if len(recs) > 1 else 0.0,
+            "mean_final_quarter_distance": float(np.mean([r["final_quarter"] for r in recs])),
+            "mean_convergence_steps": float(np.mean([r["conv"] for r in recs])),
+            "p_mse_vs_bl1": "", "p_dist_vs_bl1": "", "p_conv_vs_bl1": "",
+        }
+        bl1 = groups.get((cell, "bl1"))
+        if kind == "mhpf" and bl1 is not None:
+            for metric, col in (("mean_mse", "p_mse_vs_bl1"),
+                                ("mean_dist", "p_dist_vs_bl1"),
+                                ("conv", "p_conv_vs_bl1")):
+                a = scenario_means(by_scenario, metric)
+                b = scenario_means(bl1, metric)
+                if len(a) >= 2 and len(b) >= 2:
+                    row[col] = float(ranksums(a, b).pvalue)
+        out.append(row)
     return out
 
 

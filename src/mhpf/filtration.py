@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, record_field
 from .geometry import validate_distance_matrix
 
 
@@ -263,19 +263,27 @@ class ClusterTree:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClusterTree":
+        """Inverse of `to_dict`; a missing, malformed or dangling field raises InvalidInputError."""
         nodes = {}
-        for rec in data["nodes"]:
-            death = rec["death"]
-            nodes[rec["id"]] = ClusterNode(
-                id=rec["id"],
-                members=frozenset(rec["members"]),
-                birth=float(rec["birth"]),
-                death=math.inf if death is None else float(death),
-                parent=rec["parent"],
-                children=tuple(rec["children"]),
+        for i, rec in enumerate(record_field(data, "nodes", list, "tree")):
+            where = f"node record {i}"
+            node = ClusterNode(
+                id=record_field(rec, "id", int, where),
+                members=record_field(rec, "members", frozenset, where),
+                birth=record_field(rec, "birth", float, where),
+                death=record_field(rec, "death", lambda d: math.inf if d is None else float(d),
+                                   where),
+                parent=record_field(rec, "parent", lambda p: None if p is None else int(p), where),
+                children=record_field(rec, "children", lambda c: tuple(map(int, c)), where),
             )
+            nodes[node.id] = node
+        root = record_field(data, "root", int, "tree")
+        refs = {root} | {r for n in nodes.values() for r in (n.parent, *n.children)}
+        refs.discard(None)
+        if not refs <= nodes.keys():
+            raise InvalidInputError(f"tree: unknown node ids {sorted(refs - nodes.keys())}")
         leaf_count = sum(1 for n in nodes.values() if n.is_leaf)
-        return cls(nodes, data["root"], leaf_count)
+        return cls(nodes, root, leaf_count)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -285,7 +293,11 @@ class ClusterTree:
     @classmethod
     def load(cls, path) -> "ClusterTree":
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            data = json.load(fh)
+        try:
+            return cls.from_dict(data)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{path}: {exc}") from None
 
     def render_text(self) -> str:
         """Indented dendrogram listing birth and member count per node."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, record_field
 
 
 def euclidean(a, b) -> float:
@@ -170,7 +170,11 @@ def save_trajectories(path, trajectories) -> None:
 
 
 def load_trajectories(path) -> list[Trajectory]:
-    """Read newline-delimited trajectory records; rejects ragged dimensions."""
+    """Read newline-delimited trajectory records.
+
+    A record that is not an object, lacks `id` or `points`, or has ragged,
+    non-numeric or mixed-dimension points raises InvalidInputError naming its line.
+    """
     out: list[Trajectory] = []
     dim = None
     with open(path) as fh:
@@ -179,15 +183,16 @@ def load_trajectories(path) -> list[Trajectory]:
             if not line:
                 continue
             rec = json.loads(line)
-            pts = rec["points"]
-            lengths = {len(p) for p in pts}
-            if len(lengths) != 1:
-                raise InvalidInputError(f"{path}:{lineno}: ragged point dimensions")
-            t = Trajectory(str(rec["id"]), np.asarray(pts, dtype=float))
+            where = f"{path}:{lineno}"
+            # Ragged or non-numeric points fail the conversion as malformed.
+            pts = record_field(rec, "points", lambda p: np.asarray(p, dtype=float), where)
+            if pts.ndim != 2 or len(pts) == 0:
+                raise InvalidInputError(f"{where}: points must be a non-empty list of points")
+            t = Trajectory(record_field(rec, "id", str, where), pts)
             if dim is None:
                 dim = t.dim
             elif t.dim != dim:
-                raise InvalidInputError(f"{path}:{lineno}: dimension {t.dim} != {dim}")
+                raise InvalidInputError(f"{where}: dimension {t.dim} != {dim}")
             out.append(t)
     if not out:
         raise InvalidInputError(f"{path}: no trajectory records")

@@ -19,16 +19,17 @@ import numpy as np
 from .errors import InvalidInputError
 from .stack import CoarseObservation, FineObservation
 
+# Gaussian samples drawn around the truth for one coarse observation.
+N_COARSE_SAMPLES = 10
+
 
 @dataclass
 class ObsConfig:
     psi: float
-    n_coarse_samples: int = 10
     coarse_prob: float = 0.0
     coarse_level: float | None = None
     lead_in_fraction: float = 0.0
     mode: str = "mixed"  # "mixed" | "lead_in"
-    coarse_replaces_fine: bool = False
 
     def __post_init__(self):
         if self.psi < 0:
@@ -39,8 +40,6 @@ class ObsConfig:
             raise InvalidInputError("lead_in_fraction must be in [0, 1]")
         if self.mode not in ("mixed", "lead_in"):
             raise InvalidInputError(f"unknown observation mode {self.mode!r}")
-        if self.n_coarse_samples < 1:
-            raise InvalidInputError("n_coarse_samples must be >= 1")
 
 
 def bbox_diagonal(trajectories) -> float:
@@ -135,9 +134,8 @@ def observation_plan(truth_points, cfg: ObsConfig, tree, trajectories,
     """Per-step observation lists for steps 1..T-1 of a discretized truth.
 
     "mixed" emits a fine observation every step and, with probability
-    coarse_prob, a coarse one as well (or instead, with
-    coarse_replaces_fine). "lead_in" emits fine-only during the lead-in
-    fraction of the trial, then coarse-only.
+    coarse_prob, a coarse one as well. "lead_in" emits fine-only during the
+    lead-in fraction of the trial, then coarse-only.
     """
     if index is None:
         index = ClassPointIndex(tree, trajectories)
@@ -148,25 +146,17 @@ def observation_plan(truth_points, cfg: ObsConfig, tree, trajectories,
     plan: list[list] = []
     for t in range(1, steps + 1):
         z = pts[t]
-        obs: list = []
         if cfg.mode == "mixed":
-            fine = gen_fine(z, cfg.psi, scale, rng)
-            coarse = None
+            obs = [gen_fine(z, cfg.psi, scale, rng)]
             if cfg.coarse_prob > 0 and rng.random() < cfg.coarse_prob:
-                coarse = gen_coarse(z, cfg.psi, tree, trajectories, level,
-                                    cfg.n_coarse_samples, rng, scale=scale, index=index)
-            if coarse is not None and cfg.coarse_replaces_fine:
-                obs = [coarse]
-            elif coarse is not None:
-                obs = [fine, coarse]
-            else:
-                obs = [fine]
+                obs.append(gen_coarse(z, cfg.psi, tree, trajectories, level,
+                                      N_COARSE_SAMPLES, rng, scale=scale, index=index))
         else:  # lead_in
             if t <= lead:
                 obs = [gen_fine(z, cfg.psi, scale, rng)]
             else:
                 obs = [gen_coarse(z, cfg.psi, tree, trajectories, level,
-                                  cfg.n_coarse_samples, rng, scale=scale, index=index)]
+                                  N_COARSE_SAMPLES, rng, scale=scale, index=index)]
         plan.append(obs)
     return plan
 

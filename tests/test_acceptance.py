@@ -140,8 +140,7 @@ def test_criterion_4_reduction_suite():
 
     # BL2 against a single pooled-class stack sharing the same dynamics.
     sc_tree = single_class_tree([t.id for t in corpus])
-    pooled = build_dynamics(sc_tree, corpus, kappa=0.4, epsilon_floor=floor,
-                            epsilon_override=floor * 4)
+    pooled = build_dynamics(sc_tree, corpus, kappa=0.4, epsilon_floor=floor * 4)
     sampler2 = start_point_sampler(sc_tree, corpus)
     seed2 = child_seed(404, 0, 1)
     stack2 = FilterStack(sc_tree, pooled, {0: 1.0}, sampler2, 100, 0.01, seed2)

@@ -102,6 +102,57 @@ def test_filter_reports_malformed_observation_file(tmp_path, capsys):
     assert "line 1" in err and "'kind'" in err
 
 
+def test_malformed_tree_and_trajectory_files_are_reported(tmp_path, capsys):
+    cpath = tmp_path / "c.jsonl"
+    run_cli(["gen", "--dataset", "fixed", "--out", str(cpath), "--seed", "3", "--n-points", "20"])
+    tpath = tmp_path / "tree.json"
+    tpath.write_text('{"root": 0}')
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"id": "x", "pts": []}\n')
+    capsys.readouterr()
+    for argv, field in (
+            (["filter", "--trajectories", str(cpath), "--tree", str(tpath), "--truth-id", "fix00",
+              "--out", str(tmp_path / "s.jsonl")], "'nodes'"),
+            (["cluster", "--trajectories", str(bad), "--out-tree", str(tmp_path / "t.json")],
+             "'points'")):
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+
+
+_TINY_EVAL = {"corpus_kind": "fixed", "corpus_n": 4, "n_points": 10, "n_scenarios": 1,
+              "n_repeats": 1, "n_particles": 10}
+
+
+@pytest.mark.parametrize("config, named", [
+    ([_TINY_EVAL], "JSON object"),
+    ({**_TINY_EVAL, "kappa": [0.3]}, "'kappa'"),
+    ({**_TINY_EVAL, "kappas": 0.3}, "'kappas'"),
+    ({**_TINY_EVAL, "psis": "0.01"}, "'psis'"),
+    ({**_TINY_EVAL, "kappas": [-0.3]}, "kappa"),
+    ({**_TINY_EVAL, "kappas": [float("nan")]}, "kappa"),
+])
+def test_bad_eval_config_is_reported(tmp_path, capsys, config, named):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    rc = run_cli(["eval", "--config", str(cfg_path), "--out-raw", str(tmp_path / "r.csv"),
+                  "--out-summary", str(tmp_path / "s.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+
+
+@pytest.mark.parametrize("starts, token", [("1;2", "'1'"), ("3,4;5,x", "'5,x'")])
+def test_bad_walk_start_is_reported(tmp_path, capsys, starts, token):
+    grid = tmp_path / "g.txt"
+    grid.write_text("2 2\n1 1\n1 1\n")
+    rc = run_cli(["gen", "--dataset", "walk", "--out", str(tmp_path / "w.jsonl"),
+                  "--grid", str(grid), "--starts", starts])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and token in err
+
+
 def test_eval_smoke_csv_schema(tmp_path):
     cfg = {"corpus_kind": "fixed", "corpus_n": 13, "n_points": 30, "corpus_seed": 3,
            "n_scenarios": 2, "n_repeats": 1, "seed": 5, "kappas": [0.3], "psis": [0.02],

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mhpf.datasets import (OBSTACLES, DensityGrid, WalkConfig, discretize_uniform,
-                           gen_fixed_endpoints, gen_harbor_corpus, gen_junction,
+                           gen_fixed_endpoints, gen_harbor_corpus, gen_junction, generate,
                            gen_obstacle_world, harbor_grid, load_density_grid,
                            save_density_grid, walk_from_density)
 from mhpf.errors import InvalidInputError
@@ -68,6 +68,16 @@ def test_junction_counts_and_zero_jitter():
         for a in group:
             for b in group:
                 assert frechet_distance(a, b) == 0.0
+
+
+def test_generate_picks_the_corpus_and_its_default_size():
+    for kind, size in (("junction", 14), ("fixed", 13), ("obstacle", 33)):
+        assert len(generate(kind, None, np.random.default_rng(1))) == size
+    assert len(generate("junction", 9, np.random.default_rng(1), branches=3)) == 9
+    assert len(generate("junction", 1, np.random.default_rng(1))) == 2  # one per branch
+    for kind, kw in (("walk", {}), ("junction", {"branches": 0})):
+        with pytest.raises(InvalidInputError):
+            generate(kind, 5, np.random.default_rng(1), **kw)
 
 
 def test_junction_cluster_structure(junction_corpus):
@@ -166,12 +176,12 @@ def test_walk_prefers_dense_corridor():
 
 def test_walk_deterministic_and_resampled():
     grid, starts = harbor_grid()
-    cfg = WalkConfig(n_trajectories=3, starts=starts, max_steps=80, n_points=50)
+    cfg = WalkConfig(n_trajectories=3, starts=starts, max_steps=80)
     a = walk_from_density(grid, cfg, np.random.default_rng(5))
     b = walk_from_density(grid, cfg, np.random.default_rng(5))
     for x, y in zip(a, b):
         assert np.array_equal(x.points, y.points)
-        assert len(x) == 50
+        assert len(discretize_uniform(x, 50)) == 50
 
 
 def test_grid_ascii_round_trip(tmp_path):

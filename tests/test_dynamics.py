@@ -40,12 +40,6 @@ def test_build_epsilon_rule():
     assert dyn[root].epsilon == tree.nodes[root].birth == 1.0
 
 
-def test_build_epsilon_override():
-    tree, trajs = line_corpus()
-    dyn = build_dynamics(tree, trajs, kappa=0.0, epsilon_floor=0.1, epsilon_override=7.0)
-    assert all(d.epsilon == 7.0 for d in dyn.values())
-
-
 def test_build_internal_epsilon_uses_birth():
     tree, trajs = line_corpus()
     dyn = build_dynamics(tree, trajs, kappa=0.0, epsilon_floor=2.5)
@@ -209,3 +203,12 @@ def test_with_kappa_shares_samples():
     assert other.positions is dyn.positions
     assert other.velocities is dyn.velocities
     assert dyn.kappa == 0.0
+
+
+@pytest.mark.parametrize("kappa", [-0.3, np.nan, np.inf])
+def test_with_kappa_rejects_negative_or_non_finite(kappa):
+    dyn = make_dynamics([[0.0, 0.0]], [[1.0, 0.0]], kappa=0.0)
+    with pytest.raises(InvalidInputError, match="kappa"):
+        dyn.with_kappa(kappa)
+    with pytest.raises(InvalidInputError, match="kappa"):
+        make_dynamics([[0.0, 0.0]], [[1.0, 0.0]], kappa=kappa)

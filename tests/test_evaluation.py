@@ -79,9 +79,8 @@ def test_bl1_is_bit_identical_to_flat_tree_bottom_layer(fixed_corpus):
 def test_bl2_is_bit_identical_to_single_class_stack(fixed_corpus):
     corpus = fixed_corpus
     tree = single_class_tree([t.id for t in corpus])
-    floor = 2.0 * mean_spacing(corpus)
-    dyn = build_dynamics(tree, corpus, kappa=0.3, epsilon_floor=floor,
-                         epsilon_override=1.5)
+    # A single-class tree's birth is 0, so the floor is every class's radius.
+    dyn = build_dynamics(tree, corpus, kappa=0.3, epsilon_floor=1.5)
     sampler = start_point_sampler(tree, corpus)
     seed = child_seed(4321, 0, 0)
     stack = FilterStack(tree, dyn, {0: 1.0}, sampler, 100, 0.01, seed)
@@ -152,7 +151,8 @@ def test_run_results_have_consistent_lengths(fixed_corpus):
         res = runner(scenario, params, seed, 0, plan=plan)
         assert len(res.mse) == len(plan)
         assert len(res.tree_distance) == len(plan)
-        assert res.meta["root_birth"] == scenario.tree.root_birth
+        assert res.convergence_step == convergence_time(res.tree_distance,
+                                                        scenario.tree.root_birth)
 
 
 def test_holdout_excludes_truth(fixed_corpus):

@@ -297,15 +297,53 @@ def test_lca_table_matches_parent_walk():
             assert tree.tree_class_distance(a, b) == tree.nodes[walk_lca(tree, a, b)].birth
 
 
-def test_membership_matches_leaves_under():
+def test_membership_matches_leaves_under(hand_tree):
     leaves_seen = 0
-    for tree in oracle_trees():
-        leaves = np.array(tree.leaves())
+    for tree in [hand_tree, *oracle_trees()]:
+        under = {n: set() for n in tree.nodes}  # oracle: walk parent links up from each leaf
+        for leaf in tree.leaves():
+            n = leaf
+            while n is not None:
+                under[n].add(leaf)
+                n = tree.nodes[n].parent
         for n in tree.nodes:
-            row = tree.membership[tree.row(n)]
-            assert np.array_equal(row, np.isin(leaves, tree.leaves_under(n)))
-            leaves_seen += int(row.sum())
+            assert tree.membership[tree.row(n)].tolist() == [c in under[n] for c in tree.leaves()]
+            assert tree.leaves_under(n) == tuple(sorted(under[n]))
+            leaves_seen += len(under[n])
     assert leaves_seen > 0
+
+
+def spoiled(tree, node=None, **fields):
+    """`tree.to_dict()` with `fields` set on one node record, or on the top level."""
+    data = tree.to_dict()
+    (data if node is None else data["nodes"][node]).update(fields)
+    return data
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda t: {"root": 0}, "tree: missing field 'nodes'"),
+    (lambda t: [t.to_dict()], "tree: expected a JSON object, got list"),
+    (lambda t: spoiled(t, nodes=7), "tree: malformed field 'nodes'"),
+    (lambda t: {"nodes": t.to_dict()["nodes"]}, "tree: missing field 'root'"),
+    (lambda t: spoiled(t, root="top"), "tree: malformed field 'root'"),
+    (lambda t: spoiled(t, root=9), r"tree: unknown node ids \[9\]"),
+    (lambda t: {"nodes": [[0], *t.to_dict()["nodes"][1:]], "root": 4},
+     "node record 0: expected a JSON object, got list"),
+    (lambda t: {"nodes": [{k: v for k, v in r.items() if k != "members"}
+                          for r in t.to_dict()["nodes"]], "root": 4},
+     "node record 0: missing field 'members'"),
+    (lambda t: spoiled(t, 2, birth="x"), "node record 2: malformed field 'birth'"),
+    (lambda t: spoiled(t, 3, children=[0, "one"]), "node record 3: malformed field 'children'"),
+    (lambda t: spoiled(t, 1, parent=6), r"tree: unknown node ids \[6\]"),
+])
+def test_tree_loader_names_the_bad_field(hand_tree, tmp_path, make, message):
+    with pytest.raises(InvalidInputError, match=message):
+        ClusterTree.from_dict(make(hand_tree))
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(make(hand_tree)))
+    with pytest.raises(InvalidInputError, match=message) as exc:
+        ClusterTree.load(path)
+    assert str(exc.value).startswith(f"{path}: ")
 
 
 def test_partition_rejects_sets_that_do_not_cover_every_leaf_once(hand_tree):

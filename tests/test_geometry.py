@@ -164,6 +164,22 @@ def test_trajectory_reader_rejects_ragged_points(tmp_path):
         load_trajectories(path)
 
 
+@pytest.mark.parametrize("record, message", [
+    ({"id": "x", "pts": []}, "missing field 'points'"),
+    ({"points": [[0, 0]]}, "missing field 'id'"),
+    ([[0, 0]], "expected a JSON object, got list"),
+    ({"id": "x", "points": 5}, "points must be a non-empty list of points"),
+    ({"id": "x", "points": []}, "points must be a non-empty list of points"),
+    ({"id": "x", "points": [[0, "a"]]}, "malformed field 'points'"),
+])
+def test_trajectory_reader_names_the_line_and_field(tmp_path, record, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps({"id": "ok", "points": [[0, 0]]}) + "\n" + json.dumps(record) + "\n")
+    with pytest.raises(InvalidInputError, match=message) as exc:
+        load_trajectories(path)
+    assert str(exc.value).startswith(f"{path}:2: ")
+
+
 def test_trajectory_reader_rejects_cross_record_dims(tmp_path):
     path = tmp_path / "bad.jsonl"
     lines = [json.dumps({"id": "x", "points": [[0, 0]]}),

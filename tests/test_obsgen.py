@@ -149,14 +149,6 @@ def test_observation_plan_lead_in(fixed_corpus, fixed_tree):
             assert isinstance(obs[0], CoarseObservation)
 
 
-def test_observation_plan_replace_mode(fixed_corpus, fixed_tree):
-    cfg = ObsConfig(psi=0.01, coarse_prob=1.0, coarse_replaces_fine=True)
-    rng = np.random.default_rng(13)
-    plan = observation_plan(fixed_corpus[0].points, cfg, fixed_tree, fixed_corpus,
-                            bbox_diagonal(fixed_corpus), rng)
-    assert all(len(obs) == 1 and isinstance(obs[0], CoarseObservation) for obs in plan)
-
-
 def test_observation_stream_round_trip(tmp_path, fixed_corpus, fixed_tree):
     cfg = ObsConfig(psi=0.02, coarse_prob=0.5)
     rng = np.random.default_rng(14)

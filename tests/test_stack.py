@@ -399,6 +399,44 @@ def test_consistency_over_randomized_steps(hand_stack, hand_tree):
         check_consistency(stack)
 
 
+def random_corpus(rng, lattice: bool) -> list[Trajectory]:
+    """2 to 9 random-walk trajectories in a few bundles; on a lattice many births tie."""
+    out = []
+    for i in range(int(rng.integers(2, 10))):
+        start = rng.integers(0, 3) * 4.0 + rng.normal(scale=0.5, size=2)
+        pts = start + np.cumsum(rng.normal(loc=1.0, scale=0.6, size=(int(rng.integers(4, 12)), 2)),
+                                axis=0)
+        out.append(Trajectory(f"r{i}", np.round(pts) if lattice else pts))
+    return out
+
+
+def test_consistency_over_random_trees_and_mixed_streams():
+    rng = np.random.default_rng(404)
+    for trial in range(16):
+        corpus = random_corpus(rng, lattice=trial % 2 == 1)
+        tree = single_linkage(distance_matrix(corpus), member_ids=[t.id for t in corpus])
+        dyn = build_dynamics(tree, corpus, kappa=float(rng.uniform(0.0, 1.0)),
+                             epsilon_floor=2 * mean_spacing(corpus))
+        stack = FilterStack(tree, dyn, {c: 1.0 for c in tree.leaves()},
+                            start_point_sampler(tree, corpus), int(rng.integers(5, 60)),
+                            float(rng.choice([0.0, 0.05, 0.3])), seed=trial)
+        births = tree.unique_births()
+        levels = births + [(a + b) / 2 for a, b in zip(births, births[1:])] + [births[-1] + 1.0]
+        points = np.vstack([t.points for t in corpus])
+        for _ in range(30):
+            obs = []
+            for _ in range(int(rng.integers(0, 3))):
+                if rng.random() < 0.5:
+                    z = points[int(rng.integers(len(points)))] + rng.normal(scale=2.0, size=2)
+                    obs.append(FineObservation(z))
+                else:
+                    b = float(rng.choice(levels))
+                    alive = tree.alive_ids(b)
+                    obs.append(CoarseObservation(alive[int(rng.integers(len(alive)))], b))
+            stack.step(obs)
+            check_consistency(stack)
+
+
 def test_bounded_log_weights_shape():
     w = bounded_log_weights(np.array([0.0, 1.0, 3.0]))
     assert w[0] > w[1] > w[2] == 0.0
