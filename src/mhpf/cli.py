@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 
 from . import datasets, evaluation
 from .errors import GenerationError, InvalidInputError
@@ -137,7 +138,12 @@ def cmd_filter(args) -> int:
     stack = FilterStack(tree, *evaluation.filter_args(scenario, params, args.seed))
     levels = None
     if args.levels:
-        levels = [float(x) for x in args.levels.split(",")]
+        levels = []
+        for tok in args.levels.split(","):
+            try:
+                levels.append(float(tok))
+            except ValueError:
+                raise InvalidInputError(f"--levels: {tok!r} is not a number") from None
     with open(args.out, "w") as fh:
         for obs in plan:
             snap = stack.step(obs, snapshot_levels=levels)
@@ -158,20 +164,41 @@ def _add_eval(sub):
     return p
 
 
+def _fits(value, kind) -> bool:
+    """Whether a JSON value has a config field's type; a float field also takes an int."""
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, kind)
+
+
 def _experiment_config(path) -> evaluation.ExperimentConfig:
-    """An ExperimentConfig from a JSON object; InvalidInputError names a bad key."""
+    """An ExperimentConfig from a JSON object; InvalidInputError names a bad key.
+
+    Each value, or each element of a list field, must have the field's type.
+    """
     with open(path) as fh:
         cfg_dict = json.load(fh)
     if not isinstance(cfg_dict, dict):
         raise InvalidInputError(f"{path}: expected a JSON object, got {type(cfg_dict).__name__}")
     fields = {f.name: f for f in dataclasses.fields(evaluation.ExperimentConfig)}
+    hints = typing.get_type_hints(evaluation.ExperimentConfig)
     for key, value in cfg_dict.items():
         if key not in fields:
             raise InvalidInputError(f"{path}: unknown key {key!r}")
-        if isinstance(fields[key].default, tuple):  # filters, kappas, psis, lead_in_fractions
+        default = fields[key].default
+        if isinstance(default, tuple):  # filters, kappas, psis, lead_in_fractions
             if not isinstance(value, list):
                 raise InvalidInputError(f"{path}: {key!r} must be a list, got {value!r}")
+            kinds, items = (type(default[0]),), value
             cfg_dict[key] = tuple(value)
+        else:
+            kinds, items = typing.get_args(hints[key]) or (hints[key],), [value]
+        for item in items:
+            if not any(_fits(item, kind) for kind in kinds):
+                names = " or ".join("null" if k is type(None) else k.__name__ for k in kinds)
+                raise InvalidInputError(f"{path}: {key!r} takes {names}, got {item!r}")
     return evaluation.ExperimentConfig(**cfg_dict)
 
 

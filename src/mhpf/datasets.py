@@ -17,6 +17,13 @@ import numpy as np
 from .errors import GenerationError, InvalidInputError
 from .geometry import Trajectory
 
+# Points per generated trajectory of the junction corpus, and of the lanes of
+# the fixed-endpoints and obstacle corpora.
+JUNCTION_POINTS = 40
+LANE_POINTS = 80
+# Candidate routes drawn per obstacle-world trajectory before giving up.
+OBSTACLE_TRIES = 50
+
 
 def discretize_uniform(t: Trajectory, n_points: int) -> Trajectory:
     """Arc-length uniform resampling to n_points; endpoints preserved exactly."""
@@ -38,7 +45,7 @@ def discretize_uniform(t: Trajectory, n_points: int) -> Trajectory:
 
 
 def gen_junction(n_branches: int, per_branch: int, jitter: float,
-                 rng: np.random.Generator, n_points: int = 40) -> list[Trajectory]:
+                 rng: np.random.Generator) -> list[Trajectory]:
     """Trajectories sharing a stem, then fanning into jittered branches."""
     if n_branches < 2:
         raise InvalidInputError("need at least two branches")
@@ -49,7 +56,7 @@ def gen_junction(n_branches: int, per_branch: int, jitter: float,
     for b, theta in enumerate(angles):
         tip = fork + 6.0 * np.array([math.sin(theta), math.cos(theta)])
         base = discretize_uniform(
-            Trajectory("base", np.vstack([stem_start, fork, tip])), n_points).points
+            Trajectory("base", np.vstack([stem_start, fork, tip])), JUNCTION_POINTS).points
         for k in range(per_branch):
             pts = base + rng.uniform(-jitter, jitter, size=base.shape)
             out.append(Trajectory(f"jct{b}_{k}", pts))
@@ -69,15 +76,14 @@ _LANE_AMPS_13 = [
 ]
 
 
-def gen_fixed_endpoints(n: int, rng: np.random.Generator,
-                        n_points: int = 80) -> list[Trajectory]:
+def gen_fixed_endpoints(n: int, rng: np.random.Generator) -> list[Trajectory]:
     """n lane trajectories all sharing the exact same start and end point."""
     if n < 1:
         raise InvalidInputError("need at least one trajectory")
     start = np.array([0.0, 0.0])
     end = np.array([10.0, 0.0])
     amps = [_LANE_AMPS_13[i % len(_LANE_AMPS_13)] for i in range(n)]
-    ts = np.linspace(0.0, 1.0, n_points)
+    ts = np.linspace(0.0, 1.0, LANE_POINTS)
     out = []
     for i, amp in enumerate(amps):
         amp = amp + rng.uniform(-0.08, 0.08)
@@ -114,15 +120,14 @@ def _inside_any_obstacle(pts: np.ndarray, margin: float = 0.0) -> bool:
     return False
 
 
-def gen_obstacle_world(n: int, rng: np.random.Generator,
-                       n_points: int = 80, max_tries: int = 50) -> list[Trajectory]:
+def gen_obstacle_world(n: int, rng: np.random.Generator) -> list[Trajectory]:
     """n collision-free lane trajectories with varied start/end positions."""
     if n < 1:
         raise InvalidInputError("need at least one trajectory")
     out = []
     for i in range(n):
         template = _CORRIDORS[i % len(_CORRIDORS)]
-        for attempt in range(max_tries):
+        for attempt in range(OBSTACLE_TRIES):
             start = np.array([rng.uniform(0.0, 0.5), rng.uniform(0.5, 5.5)])
             end = np.array([rng.uniform(9.5, 10.0), rng.uniform(0.5, 5.5)])
             way = [start]
@@ -130,12 +135,12 @@ def gen_obstacle_world(n: int, rng: np.random.Generator,
                 way.append(np.array([wx + rng.uniform(-0.25, 0.25),
                                      wy + rng.uniform(-0.25, 0.25)]))
             way.append(end)
-            path = discretize_uniform(Trajectory("cand", np.vstack(way)), n_points)
+            path = discretize_uniform(Trajectory("cand", np.vstack(way)), LANE_POINTS)
             if not _inside_any_obstacle(path.points, margin=0.05):
                 out.append(Trajectory(f"obs{i:02d}", path.points))
                 break
         else:
-            raise GenerationError(f"could not route trajectory {i} in {max_tries} tries")
+            raise GenerationError(f"could not route trajectory {i} in {OBSTACLE_TRIES} tries")
     return out
 
 
@@ -299,19 +304,28 @@ _HARBOR_LANES = [
 ]
 
 
-def harbor_grid(width: int = 120, height: int = 80,
-                lane_width: float = 2.5) -> tuple[DensityGrid, list[tuple[int, int]]]:
+# The builtin harbor grid: its size and its lanes' Gaussian width, in cells.
+HARBOR_WIDTH, HARBOR_HEIGHT = 120, 80
+HARBOR_LANE_WIDTH = 2.5
+# Harbor corpus walks: steps per walk, the fewest raw points a kept walk has,
+# and the walks tried per requested trajectory before giving up.
+HARBOR_MAX_STEPS = 260
+HARBOR_MIN_RAW_POINTS = 30
+HARBOR_TRIES_FACTOR = 20
+
+
+def harbor_grid() -> tuple[DensityGrid, list[tuple[int, int]]]:
     """Synthetic harbor traffic density: Gaussian ridges along shipping lanes.
 
     Returns the grid plus the manually selected lane-entry start cells.
     """
-    cols, rows = np.meshgrid(np.arange(width) + 0.5, np.arange(height) + 0.5)
-    cells = np.zeros((height, width))
+    cols, rows = np.meshgrid(np.arange(HARBOR_WIDTH) + 0.5, np.arange(HARBOR_HEIGHT) + 0.5)
+    cells = np.zeros((HARBOR_HEIGHT, HARBOR_WIDTH))
     for lane in _HARBOR_LANES:
         pts = np.asarray(lane, dtype=float)
         for a, b in zip(pts[:-1], pts[1:]):
             d = _segment_distance(cols, rows, a, b)
-            cells += np.exp(-d ** 2 / (2 * lane_width ** 2))
+            cells += np.exp(-d ** 2 / (2 * HARBOR_LANE_WIDTH ** 2))
     cells[cells < 0.05] = 0.0
     starts = [(int(lane[0][0]), int(lane[0][1])) for lane in _HARBOR_LANES]
     starts += [(int(lane[-1][0]), int(lane[-1][1])) for lane in _HARBOR_LANES]
@@ -328,22 +342,20 @@ def _segment_distance(px, py, a, b):
     return np.sqrt((px - qx) ** 2 + (py - qy) ** 2)
 
 
-def gen_harbor_corpus(n: int, rng: np.random.Generator, n_points: int = 100,
-                      max_steps: int = 260, min_raw_points: int = 30,
-                      max_tries_factor: int = 20) -> list[Trajectory]:
+def gen_harbor_corpus(n: int, rng: np.random.Generator, n_points: int = 100) -> list[Trajectory]:
     """n density-walk trajectories over the builtin harbor grid."""
     grid, starts = harbor_grid()
-    cfg = WalkConfig(n_trajectories=1, starts=starts, max_steps=max_steps,
+    cfg = WalkConfig(n_trajectories=1, starts=starts, max_steps=HARBOR_MAX_STEPS,
                      direction_persistence=0.8, density_exponent=1.0)
     out: list[Trajectory] = []
     tries = 0
     while len(out) < n:
         tries += 1
-        if tries > max_tries_factor * n:
+        if tries > HARBOR_TRIES_FACTOR * n:
             raise GenerationError(f"harbor corpus: too many rejected walks ({tries})")
         start = starts[(len(out) + tries) % len(starts)]
         pts = _walk_once(grid, start, cfg, rng)
-        if len(pts) < min_raw_points:
+        if len(pts) < HARBOR_MIN_RAW_POINTS:
             continue
         t = discretize_uniform(Trajectory(f"walk{len(out):03d}", pts), n_points)
         out.append(t)

@@ -51,10 +51,6 @@ class ClassDynamics:
             raise InvalidInputError(f"class {self.class_id}: kappa must be finite and >= 0, "
                                     f"got {self.kappa!r}")
 
-    @property
-    def dim(self) -> int:
-        return self.positions.shape[1]
-
     def with_kappa(self, kappa: float) -> "ClassDynamics":
         """Checked copy at another noise fraction, sharing the sample arrays."""
         return replace(self, kappa=float(kappa))
@@ -99,14 +95,6 @@ class ClassDynamics:
             vels[lo:lo + step], flags[lo:lo + step] = self._dense_velocities(zs[lo:lo + step])
         return vels, flags
 
-    def local_velocity(self, z):
-        """Velocity estimate at z and whether the empty-ball fallback fired."""
-        z = np.asarray(z, dtype=float)
-        if not np.all(np.isfinite(z)):
-            raise InvalidInputError("query point must be finite")
-        vels, flags = self.local_velocities(z[None, :])
-        return vels[0], bool(flags[0])
-
     def step_batch(self, zs: np.ndarray, rng: np.random.Generator):
         """Advance a batch one step: z + velocity + noise, drawn row-major."""
         zs = np.asarray(zs, dtype=float)
@@ -117,12 +105,6 @@ class ClassDynamics:
         else:
             noise = rng.uniform(0.0, width, size=zs.shape)
         return zs + vels + noise, flags
-
-    def step_sample(self, z, rng: np.random.Generator):
-        """Single-point step; returns (new position, extrapolated flag)."""
-        z = np.asarray(z, dtype=float)
-        new, flags = self.step_batch(z[None, :], rng)
-        return new[0], bool(flags[0])
 
 
 def harvest_samples(trajectories):

@@ -56,14 +56,13 @@ def map_tree_distance(tree, map_node: int, truth_leaf: int, b: float) -> float:
     return tree.tree_class_distance(map_node, anc)
 
 
-def convergence_time(series, root_birth: float,
-                     threshold_fraction: float = CONVERGENCE_FRACTION):
+def convergence_time(series, root_birth: float):
     """First step after which the distance stays within the threshold ball.
 
     Returns the step index, or None if the series never settles below
-    threshold_fraction * root_birth.
+    CONVERGENCE_FRACTION * root_birth.
     """
-    thr = threshold_fraction * root_birth
+    thr = CONVERGENCE_FRACTION * root_birth
     last_bad = -1
     for i, v in enumerate(series):
         if v > thr:
@@ -264,8 +263,7 @@ def make_observation_plan(scenario: Scenario, params: RunParams, seed, repeat: i
         mode=params.mode,
     )
     rng = substream(seed, PHASE_OBSERVE, scenario.index, repeat)
-    return observation_plan(scenario.truth.points, cfg, scenario.tree, scenario.corpus,
-                            scenario.scale, rng, index=scenario.point_index)
+    return observation_plan(scenario.truth.points, cfg, scenario.point_index, scenario.scale, rng)
 
 
 def filter_args(scenario: Scenario, params: RunParams, seed) -> tuple:

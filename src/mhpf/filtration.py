@@ -85,16 +85,21 @@ class ClusterTree:
     their parents, which gives a topological order for free.
     """
 
-    def __init__(self, nodes: dict[int, ClusterNode], root: int, leaf_count: int):
+    def __init__(self, nodes: dict[int, ClusterNode], root: int):
         self.nodes = dict(nodes)
         self.root = root
-        self.leaf_count = leaf_count
+        self._leaf_count = sum(node.is_leaf for node in self.nodes.values())
         self._partitions: dict[tuple[int, ...], Partition] = {}
         self._leaf_by_member = {}
         for nid, node in self.nodes.items():
             if node.is_leaf:
                 for m in node.members:
                     self._leaf_by_member[m] = nid
+
+    @property
+    def leaf_count(self) -> int:
+        """Number of leaf nodes, counted from the nodes."""
+        return self._leaf_count
 
     def leaves(self) -> list[int]:
         return sorted(n for n, node in self.nodes.items() if node.is_leaf)
@@ -104,12 +109,6 @@ class ClusterTree:
             return self._leaf_by_member[trajectory_id]
         except KeyError:
             raise InvalidInputError(f"unknown trajectory id {trajectory_id!r}") from None
-
-    def _require(self, node_id: int) -> ClusterNode:
-        try:
-            return self.nodes[node_id]
-        except KeyError:
-            raise InvalidInputError(f"unknown node id {node_id!r}") from None
 
     @cached_property
     def _tables(self) -> _Tables:
@@ -209,20 +208,6 @@ class ClusterTree:
         t = self._tables
         return tuple(t.ids[r] for r in t.leaf_rows[t.membership[self.row(node_id)]].tolist())
 
-    def lowest_common_ancestor(self, c1: int, c2: int) -> int:
-        """LCA over parent links; every node is its own ancestor."""
-        self._require(c1)
-        self._require(c2)
-        seen = set()
-        n: int | None = c1
-        while n is not None:
-            seen.add(n)
-            n = self.nodes[n].parent
-        n = c2
-        while n not in seen:
-            n = self.nodes[n].parent
-        return n
-
     def tree_class_distance(self, c1: int, c2: int) -> float:
         """Birth index of the lowest common ancestor of the two nodes."""
         return float(self._tables.lca_birth[self.row(c1), self.row(c2)])
@@ -231,8 +216,10 @@ class ClusterTree:
         """The unique node on the path from node_id to the root alive at b."""
         if b < 0:
             raise InvalidInputError(f"level must be >= 0, got {b}")
-        n = self._require(node_id)
+        if node_id not in self.nodes:
+            raise InvalidInputError(f"unknown node id {node_id!r}")
         nid = node_id
+        n = self.nodes[nid]
         while not (n.birth <= b < n.death):
             if n.parent is None:
                 return nid
@@ -282,8 +269,7 @@ class ClusterTree:
         refs.discard(None)
         if not refs <= nodes.keys():
             raise InvalidInputError(f"tree: unknown node ids {sorted(refs - nodes.keys())}")
-        leaf_count = sum(1 for n in nodes.values() if n.is_leaf)
-        return cls(nodes, root, leaf_count)
+        return cls(nodes, root)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -343,7 +329,7 @@ def single_linkage(d, member_ids=None) -> ClusterTree:
 
     if m == 1:
         nodes[0] = ClusterNode(0, members[0], 0.0, math.inf, None, ())
-        return ClusterTree(nodes, 0, 1)
+        return ClusterTree(nodes, 0)
 
     # Working matrix indexed by node id; inactive rows masked to +inf.
     work = np.full((total, total), np.inf)
@@ -393,7 +379,7 @@ def single_linkage(d, member_ids=None) -> ClusterTree:
             parent=parents.get(nid),
             children=children.get(nid, ()),
         )
-    return ClusterTree(nodes, root, m)
+    return ClusterTree(nodes, root)
 
 
 def flat_tree(member_ids, root_birth: float = 1.0) -> ClusterTree:
@@ -404,11 +390,11 @@ def flat_tree(member_ids, root_birth: float = 1.0) -> ClusterTree:
     nodes: dict[int, ClusterNode] = {}
     if m == 1:
         nodes[0] = ClusterNode(0, frozenset([member_ids[0]]), 0.0, math.inf, None, ())
-        return ClusterTree(nodes, 0, 1)
+        return ClusterTree(nodes, 0)
     for i, mid in enumerate(member_ids):
         nodes[i] = ClusterNode(i, frozenset([mid]), 0.0, float(root_birth), m, ())
     nodes[m] = ClusterNode(m, frozenset(member_ids), float(root_birth), math.inf, None, tuple(range(m)))
-    return ClusterTree(nodes, m, m)
+    return ClusterTree(nodes, m)
 
 
 def single_class_tree(member_ids) -> ClusterTree:
@@ -420,4 +406,4 @@ def single_class_tree(member_ids) -> ClusterTree:
     if len(member_ids) < 1:
         raise InvalidInputError("need at least one member")
     nodes = {0: ClusterNode(0, frozenset(member_ids), 0.0, math.inf, None, ())}
-    return ClusterTree(nodes, 0, 1)
+    return ClusterTree(nodes, 0)

@@ -50,14 +50,6 @@ class Trajectory:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    @property
-    def first(self) -> np.ndarray:
-        return self.points[0]
-
-    @property
-    def last(self) -> np.ndarray:
-        return self.points[-1]
-
     def arc_length(self) -> float:
         if len(self) < 2:
             return 0.0

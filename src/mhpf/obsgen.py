@@ -58,29 +58,23 @@ def gen_fine(z, psi: float, scale: float, rng: np.random.Generator) -> FineObser
 
 
 class ClassPointIndex:
-    """Member-trajectory points of every leaf class, stacked in leaf order.
+    """Member-trajectory points of every leaf class of a tree, stacked in leaf order.
 
-    Built on first use. A class's nearest point to a query is the nearest
-    over the leaves under it (`ClusterTree.membership`).
+    A class's nearest point to a query is the nearest over the leaves under
+    it (`ClusterTree.membership`).
     """
 
     def __init__(self, tree, trajectories):
         self.tree = tree
-        self._by_id = {t.id: t for t in trajectories}
-        self._points: np.ndarray | None = None
-        self._starts: np.ndarray | None = None
-
-    def _leaf_points(self):
-        if self._points is None:
-            blocks = [np.vstack([self._by_id[m].points for m in sorted(self.tree.nodes[c].members)])
-                      for c in self.tree.leaves()]
-            self._starts = np.cumsum([0] + [len(b) for b in blocks[:-1]])
-            self._points = np.vstack(blocks)
-        return self._points, self._starts
+        by_id = {t.id: t for t in trajectories}
+        blocks = [np.vstack([by_id[m].points for m in sorted(tree.nodes[c].members)])
+                  for c in tree.leaves()]
+        self._starts = np.cumsum([0] + [len(b) for b in blocks[:-1]])
+        self._points = np.vstack(blocks)
 
     def nearest_distances(self, samples: np.ndarray, class_ids) -> np.ndarray:
         """(class, sample) Euclidean distance from each sample to the class's nearest point."""
-        points, starts = self._leaf_points()
+        points = self._points
         # Squared distances summed coordinate by coordinate, as a KD-tree
         # query sums them, so that both give the same bits.
         sq = np.zeros((len(samples), len(points)))
@@ -88,33 +82,27 @@ class ClassPointIndex:
             diff = samples[:, k, None] - points[None, :, k]
             diff *= diff
             sq += diff
-        leaf_d = np.sqrt(np.minimum.reduceat(sq, starts, axis=1)).T  # (leaf, sample)
+        leaf_d = np.sqrt(np.minimum.reduceat(sq, self._starts, axis=1)).T  # (leaf, sample)
         member = self.tree.membership[[self.tree.row(c) for c in class_ids]]
         return np.where(member[:, :, None], leaf_d[None], np.inf).min(axis=1)
 
 
-def gen_coarse(z, psi: float, tree, trajectories, level: float, n: int,
-               rng: np.random.Generator, scale: float | None = None,
-               index: ClassPointIndex | None = None) -> CoarseObservation:
-    """Class-level observation at the given tree level.
+def gen_coarse(z, psi: float, index: ClassPointIndex, level: float,
+               rng: np.random.Generator, scale: float) -> CoarseObservation:
+    """Class-level observation at the given level of the index's tree.
 
-    Draws n points from an isotropic Gaussian of standard deviation psi*scale
-    around z and scores every alive class by a Gaussian kernel on each
-    sample's nearest-member-point distance. The kernel bandwidth cancels in
-    the argmax, so the winner is the class minimizing the summed squared
-    nearest-point distances; ties break toward the smallest node id.
+    Draws N_COARSE_SAMPLES points from an isotropic Gaussian of standard
+    deviation psi*scale around z and scores every alive class by a Gaussian
+    kernel on each sample's nearest-member-point distance. The kernel
+    bandwidth cancels in the argmax, so the winner is the class minimizing
+    the summed squared nearest-point distances; ties break toward the
+    smallest node id.
     """
     if level < 0:
         raise InvalidInputError("level must be >= 0")
-    if n < 1:
-        raise InvalidInputError("need at least one coarse sample")
-    if scale is None:
-        scale = bbox_diagonal(trajectories)
-    if index is None:
-        index = ClassPointIndex(tree, trajectories)
     z = np.asarray(z, dtype=float)
-    samples = z + rng.normal(0.0, psi * scale, size=(n, z.shape[0]))
-    alive = tree.alive_ids(level)
+    samples = z + rng.normal(0.0, psi * scale, size=(N_COARSE_SAMPLES, z.shape[0]))
+    alive = index.tree.alive_ids(level)
     scores = (index.nearest_distances(samples, alive) ** 2).sum(axis=1)
     return CoarseObservation(int(alive[int(np.argmin(scores))]), float(level))
 
@@ -128,18 +116,15 @@ def default_coarse_level(tree) -> float:
     return float(tree.root_birth)
 
 
-def observation_plan(truth_points, cfg: ObsConfig, tree, trajectories,
-                     scale: float, rng: np.random.Generator,
-                     index: ClassPointIndex | None = None) -> list[list]:
+def observation_plan(truth_points, cfg: ObsConfig, index: ClassPointIndex, scale: float,
+                     rng: np.random.Generator) -> list[list]:
     """Per-step observation lists for steps 1..T-1 of a discretized truth.
 
     "mixed" emits a fine observation every step and, with probability
     coarse_prob, a coarse one as well. "lead_in" emits fine-only during the
     lead-in fraction of the trial, then coarse-only.
     """
-    if index is None:
-        index = ClassPointIndex(tree, trajectories)
-    level = cfg.coarse_level if cfg.coarse_level is not None else default_coarse_level(tree)
+    level = cfg.coarse_level if cfg.coarse_level is not None else default_coarse_level(index.tree)
     pts = np.asarray(truth_points, dtype=float)
     steps = len(pts) - 1
     lead = int(round(cfg.lead_in_fraction * steps))
@@ -149,14 +134,12 @@ def observation_plan(truth_points, cfg: ObsConfig, tree, trajectories,
         if cfg.mode == "mixed":
             obs = [gen_fine(z, cfg.psi, scale, rng)]
             if cfg.coarse_prob > 0 and rng.random() < cfg.coarse_prob:
-                obs.append(gen_coarse(z, cfg.psi, tree, trajectories, level,
-                                      N_COARSE_SAMPLES, rng, scale=scale, index=index))
+                obs.append(gen_coarse(z, cfg.psi, index, level, rng, scale))
         else:  # lead_in
             if t <= lead:
                 obs = [gen_fine(z, cfg.psi, scale, rng)]
             else:
-                obs = [gen_coarse(z, cfg.psi, tree, trajectories, level,
-                                  N_COARSE_SAMPLES, rng, scale=scale, index=index)]
+                obs = [gen_coarse(z, cfg.psi, index, level, rng, scale)]
         plan.append(obs)
     return plan
 

@@ -27,6 +27,9 @@ from .seeding import (PHASE_DEPLETE, PHASE_INIT, PHASE_PREDICT, PHASE_RESAMPLE,
                       as_seed_sequence, substream)
 
 WEIGHT_EPS = 1e-9
+# check_consistency: levels checked per tree, and the tolerance of its sums.
+CONSISTENCY_LEVELS = 20
+CONSISTENCY_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -214,7 +217,7 @@ class FilterStack:
         self.class_probs: dict[int, float] = {}
         self.prev_probs: dict[int, float] = {}
         self._rebuild(self._leaf_partition, self.leaf_weights)
-        self.prev_probs = dict(self.class_probs)
+        self.prev_probs = self.class_probs
 
     # -- level bookkeeping ---------------------------------------------------
 
@@ -434,10 +437,12 @@ class FilterStack:
         """
         observations = check_observations(observations, self.leaf_positions.shape[1],
                                           self.tree)
-        if snapshot_levels is not None and not all(b >= 0 for b in snapshot_levels):
-            raise InvalidInputError(f"snapshot levels must be >= 0, got {snapshot_levels!r}")
+        if snapshot_levels is not None and not all(0 <= b < np.inf for b in snapshot_levels):
+            raise InvalidInputError(
+                f"snapshot levels must be finite and >= 0, got {snapshot_levels!r}")
         self._t += 1
-        self.prev_probs = dict(self.class_probs)
+        # The rebuilds replace class_probs with a new dict, so this is a snapshot.
+        self.prev_probs = self.class_probs
         self.predict()
         for obs in observations:
             self._apply(obs)
@@ -446,18 +451,22 @@ class FilterStack:
         return snap
 
 
-def check_consistency(stack: FilterStack, n_levels: int = 20, atol: float = 1e-9) -> None:
-    """Assert per-level normalization, parent additivity, and level counts."""
+def check_consistency(stack: FilterStack) -> None:
+    """Assert per-level normalization, parent additivity, and level counts.
+
+    Checks CONSISTENCY_LEVELS evenly spaced levels from 0 to the root birth,
+    to within CONSISTENCY_ATOL.
+    """
     tree = stack.tree
     root_birth = tree.root_birth
     if root_birth > 0:
-        levels = np.linspace(0.0, root_birth, n_levels)
+        levels = np.linspace(0.0, root_birth, CONSISTENCY_LEVELS)
     else:
         levels = np.zeros(1)
     for b in levels:
         alive = tree.alive_at(float(b))
         total = sum(stack.class_probs.get(c, 0.0) for c in alive)
-        if abs(total - 1.0) > atol:
+        if abs(total - 1.0) > CONSISTENCY_ATOL:
             raise AssertionError(f"level {b}: probabilities sum to {total}")
         count = sum(int(stack._under(c).sum()) for c in alive)
         if count != stack.n_particles:
@@ -465,6 +474,6 @@ def check_consistency(stack: FilterStack, n_levels: int = 20, atol: float = 1e-9
     for nid, node in tree.nodes.items():
         if node.children:
             child_sum = sum(stack.class_probs.get(ch, 0.0) for ch in node.children)
-            if abs(child_sum - stack.class_probs.get(nid, 0.0)) > atol:
+            if abs(child_sum - stack.class_probs.get(nid, 0.0)) > CONSISTENCY_ATOL:
                 raise AssertionError(
                     f"node {nid}: children sum {child_sum} != {stack.class_probs.get(nid)}")

@@ -7,6 +7,7 @@ lines. Criteria 5-8 exercise full experiment sweeps and take several minutes.
 import time
 
 import numpy as np
+import pytest
 from scipy.stats import ranksums
 
 from helpers import brute_force_frechet, naive_single_linkage
@@ -103,7 +104,7 @@ def test_criterion_3_consistency_suite():
             obs.append(CoarseObservation(alive[int(rng.integers(len(alive)))], b))
         stack.step(obs)
         try:
-            check_consistency(stack, n_levels=20, atol=1e-9)
+            check_consistency(stack)
         except AssertionError:
             failures += 1
     elapsed = time.monotonic() - start
@@ -186,6 +187,7 @@ def scenario_means(raw, cell, kind, per_run_metric):
     return [float(np.mean(v)) for _, v in sorted(by_scenario.items())]
 
 
+@pytest.mark.slow
 def test_criterion_5_fine_only_ordering():
     start = time.monotonic()
     cfg = ExperimentConfig(corpus_kind="obstacle", corpus_n=33, n_points=100,
@@ -210,6 +212,7 @@ def test_criterion_5_fine_only_ordering():
                          f"inequality cannot hold.")
 
 
+@pytest.mark.slow
 def test_criterion_6_coarse_benefit():
     start = time.monotonic()
     cfg = ExperimentConfig(corpus_kind="fixed", corpus_n=13, n_points=100,
@@ -235,6 +238,7 @@ def test_criterion_6_coarse_benefit():
                          f"(losses: {losses}); {'; '.join(details)}; {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_7_lead_in_convergence():
     start = time.monotonic()
     cfg = ExperimentConfig(corpus_kind="fixed", corpus_n=13, n_points=100,
@@ -258,6 +262,7 @@ def test_criterion_7_lead_in_convergence():
                          f"pooled rank-sum p={p:.4f} (need <0.05); {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_8_density_walk_pipeline():
     start = time.monotonic()
     corpus = gen_harbor_corpus(194, substream(7, PHASE_DATA), n_points=100)
@@ -277,7 +282,7 @@ def test_criterion_8_density_walk_pipeline():
     for obs in plan:
         stack.step(obs)
         try:
-            check_consistency(stack, n_levels=20, atol=1e-9)
+            check_consistency(stack)
         except AssertionError:
             invariant_failures += 1
 

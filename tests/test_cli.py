@@ -131,12 +131,30 @@ _TINY_EVAL = {"corpus_kind": "fixed", "corpus_n": 4, "n_points": 10, "n_scenario
     ({**_TINY_EVAL, "psis": "0.01"}, "'psis'"),
     ({**_TINY_EVAL, "kappas": [-0.3]}, "kappa"),
     ({**_TINY_EVAL, "kappas": [float("nan")]}, "kappa"),
+    ({**_TINY_EVAL, "n_repeats": "2"}, "'n_repeats'"),
+    ({**_TINY_EVAL, "kappas": ["a"]}, "'kappas'"),
+    ({**_TINY_EVAL, "holdout": 1}, "'holdout'"),
+    ({**_TINY_EVAL, "filters": ["mhpf", None]}, "'filters'"),
 ])
 def test_bad_eval_config_is_reported(tmp_path, capsys, config, named):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
     rc = run_cli(["eval", "--config", str(cfg_path), "--out-raw", str(tmp_path / "r.csv"),
                   "--out-summary", str(tmp_path / "s.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+
+
+@pytest.mark.parametrize("levels, named", [("0,x", "'x'"), ("inf", "finite")])
+def test_bad_filter_levels_are_reported(tmp_path, capsys, levels, named):
+    cpath = tmp_path / "c.jsonl"
+    run_cli(["gen", "--dataset", "fixed", "--out", str(cpath), "--seed", "3", "--n-points", "20"])
+    tpath = tmp_path / "tree.json"
+    run_cli(["cluster", "--trajectories", str(cpath), "--out-tree", str(tpath)])
+    capsys.readouterr()
+    rc = run_cli(["filter", "--trajectories", str(cpath), "--tree", str(tpath),
+                  "--out", str(tmp_path / "s.jsonl"), "--truth-id", "fix00", "--levels", levels])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err

@@ -17,6 +17,13 @@ def make_dynamics(positions, velocities, eps=10.0, kappa=0.0, **kw):
                          **kw)
 
 
+def velocity_at(dyn, z):
+    """local_velocities of the one-row batch [z]: (velocity, fallback flag)."""
+    vels, flags = dyn.local_velocities(np.asarray([z], dtype=float))
+    assert vels.shape == (1, 2) and flags.shape == (1,)
+    return vels[0], bool(flags[0])
+
+
 def line_corpus():
     t0 = Trajectory("a", np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
     t1 = Trajectory("b", np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]]))
@@ -65,14 +72,14 @@ def test_build_rejects_zero_sample_class():
 
 def test_coincident_sample_short_circuits():
     dyn = make_dynamics([[0.0, 0.0]], [[1.0, 0.0]])
-    vel, extrapolated = dyn.local_velocity([0.0, 0.0])
+    vel, extrapolated = velocity_at(dyn, [0.0, 0.0])
     assert np.array_equal(vel, [1.0, 0.0])
     assert not extrapolated
 
 
 def test_equidistant_samples_average():
     dyn = make_dynamics([[1.0, 0.0], [-1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]])
-    vel, _ = dyn.local_velocity([0.0, 0.0])
+    vel, _ = velocity_at(dyn, [0.0, 0.0])
     assert np.allclose(vel, [0.5, 0.5], atol=1e-12)
 
 
@@ -80,7 +87,7 @@ def test_inverse_distance_formula():
     positions = [[1.0, 0.0], [0.0, 2.0], [4.0, 0.0]]
     velocities = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
     dyn = make_dynamics(positions, velocities, eps=5.0)
-    vel, _ = dyn.local_velocity([0.0, 0.0])
+    vel, _ = velocity_at(dyn, [0.0, 0.0])
     w = np.array([1.0, 0.5, 0.25])
     expected = (w[:, None] * np.asarray(velocities)).sum(axis=0) / w.sum()
     assert np.allclose(vel, expected, atol=1e-12)
@@ -101,14 +108,14 @@ def test_strict_ball_excludes_boundary():
     dyn = make_dynamics([[1.0, 0.0], [3.0, 0.0]], [[1.0, 0.0], [-1.0, 0.0]], eps=1.0)
     # Sample at distance exactly epsilon is outside the open ball; the other is
     # beyond it, so the nearest-sample fallback fires.
-    vel, extrapolated = dyn.local_velocity([0.0, 0.0])
+    vel, extrapolated = velocity_at(dyn, [0.0, 0.0])
     assert extrapolated
     assert np.array_equal(vel, [1.0, 0.0])
 
 
 def test_empty_ball_falls_back_to_nearest():
     dyn = make_dynamics([[10.0, 0.0], [20.0, 0.0]], [[0.0, 1.0], [0.0, -1.0]], eps=0.5)
-    vel, extrapolated = dyn.local_velocity([0.0, 0.0])
+    vel, extrapolated = velocity_at(dyn, [0.0, 0.0])
     assert extrapolated
     assert np.array_equal(vel, [0.0, 1.0])
 
@@ -121,8 +128,8 @@ def test_translation_equivariance():
     d1 = make_dynamics(positions, velocities, eps=2.0)
     d2 = make_dynamics(positions + shift, velocities, eps=2.0)
     z = np.array([0.3, -0.2])
-    v1, f1 = d1.local_velocity(z)
-    v2, f2 = d2.local_velocity(z + shift)
+    v1, f1 = velocity_at(d1, z)
+    v2, f2 = velocity_at(d2, z + shift)
     assert f1 == f2
     assert np.allclose(v1, v2, atol=1e-9)
 
@@ -138,7 +145,7 @@ def test_velocity_in_convex_hull_of_ball():
         inside = d < dyn.epsilon
         if not inside.any() or (d == 0).any():
             continue
-        vel, _ = dyn.local_velocity(z)
+        vel, _ = velocity_at(dyn, z)
         lo = velocities[inside].min(axis=0) - 1e-12
         hi = velocities[inside].max(axis=0) + 1e-12
         assert np.all(vel >= lo) and np.all(vel <= hi)
@@ -147,9 +154,9 @@ def test_velocity_in_convex_hull_of_ball():
 def test_step_sample_kappa_zero_exact():
     dyn = make_dynamics([[0.0, 0.0]], [[0.5, -0.5]], kappa=0.0)
     rng = np.random.default_rng(0)
-    new, extrapolated = dyn.step_sample([0.0, 0.0], rng)
-    assert np.array_equal(new, [0.5, -0.5])
-    assert not extrapolated
+    new, flags = dyn.step_batch([[0.0, 0.0]], rng)
+    assert np.array_equal(new, [[0.5, -0.5]])
+    assert not flags.any()
 
 
 def test_step_sample_deterministic_given_seed():
@@ -157,18 +164,22 @@ def test_step_sample_deterministic_given_seed():
     positions = rng_a.normal(size=(10, 2))
     velocities = rng_a.normal(size=(10, 2))
     dyn = make_dynamics(positions, velocities, eps=2.0, kappa=0.4)
-    out1, _ = dyn.step_sample([0.0, 0.0], np.random.default_rng(99))
-    out2, _ = dyn.step_sample([0.0, 0.0], np.random.default_rng(99))
+    out1, _ = dyn.step_batch([[0.0, 0.0]], np.random.default_rng(99))
+    out2, _ = dyn.step_batch([[0.0, 0.0]], np.random.default_rng(99))
     assert np.array_equal(out1, out2)
 
 
 def test_step_batch_matches_step_sample_stream():
+    # A batch draws its noise row-major: stepping the rows one at a time on
+    # one stream gives the same bits.
     dyn = make_dynamics([[0.0, 0.0], [1.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]],
                         eps=5.0, kappa=0.7)
-    zs = np.array([[0.2, 0.1]])
-    batch, _ = dyn.step_batch(zs, np.random.default_rng(7))
-    single, _ = dyn.step_sample(zs[0], np.random.default_rng(7))
-    assert np.array_equal(batch[0], single)
+    zs = np.array([[0.2, 0.1], [0.9, 0.4], [30.0, 0.0]])
+    batch, flags = dyn.step_batch(zs, np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    singles = [dyn.step_batch(z[None, :], rng) for z in zs]
+    assert np.array_equal(batch, np.vstack([new for new, _ in singles]))
+    assert flags.tolist() == [bool(f[0]) for _, f in singles] == [False, False, True]
 
 
 def test_noise_mean_matches_law_of_large_numbers():

@@ -65,19 +65,6 @@ def test_alive_at_rejects_negative(hand_tree):
         hand_tree.alive_at(-0.1)
 
 
-def test_lca_cases(hand_tree):
-    tree = hand_tree
-    assert tree.lowest_common_ancestor(0, 0) == 0
-    assert tree.lowest_common_ancestor(0, tree.root) == tree.root
-    assert tree.lowest_common_ancestor(0, 1) == 3
-    assert tree.lowest_common_ancestor(0, 2) == tree.root
-
-
-def test_lca_unknown_id(hand_tree):
-    with pytest.raises(InvalidInputError):
-        hand_tree.lowest_common_ancestor(0, 99)
-
-
 def test_tree_class_distance(hand_tree):
     tree = hand_tree
     assert tree.tree_class_distance(0, 2) == 2.0
@@ -86,6 +73,8 @@ def test_tree_class_distance(hand_tree):
     # A node is its own first shared parent.
     assert tree.tree_class_distance(3, 3) == 1.0
     assert tree.tree_class_distance(0, 0) == 0.0
+    with pytest.raises(InvalidInputError, match="unknown node id 99"):
+        tree.tree_class_distance(0, 99)
 
 
 def test_tree_distance_to_alive_ancestor(hand_tree):

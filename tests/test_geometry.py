@@ -137,6 +137,7 @@ def test_distance_matrix_rejects_mixed_dims():
         distance_matrix([np.zeros((2, 2)), np.zeros((2, 3))])
 
 
+@pytest.mark.slow
 def test_distance_matrix_runtime_200x100():
     rng = np.random.default_rng(16)
     trajs = [np.cumsum(rng.normal(size=(100, 2)), axis=0) for _ in range(200)]

@@ -46,8 +46,7 @@ def test_coarse_zero_noise_picks_containing_class(fixed_corpus, fixed_tree):
     idx = ClassPointIndex(fixed_tree, fixed_corpus)
     truth = fixed_corpus[0]
     z = truth.points[len(truth) // 2]
-    obs = gen_coarse(z, 0.0, fixed_tree, fixed_corpus, level, 10,
-                     np.random.default_rng(5), index=idx)
+    obs = gen_coarse(z, 0.0, idx, level, np.random.default_rng(5), 1.0)
     leaf = fixed_tree.leaf_for(truth.id)
     assert obs.class_id == fixed_tree.ancestor_alive_at(leaf, level)
 
@@ -57,7 +56,7 @@ def test_coarse_returns_alive_class(fixed_corpus, fixed_tree):
     idx = ClassPointIndex(fixed_tree, fixed_corpus)
     for b in fixed_tree.unique_births():
         z = fixed_corpus[int(rng.integers(len(fixed_corpus)))].points[20]
-        obs = gen_coarse(z, 0.05, fixed_tree, fixed_corpus, b, 10, rng, index=idx)
+        obs = gen_coarse(z, 0.05, idx, b, rng, bbox_diagonal(fixed_corpus))
         assert obs.class_id in fixed_tree.alive_at(b)
         assert obs.level == b
 
@@ -68,7 +67,8 @@ def test_coarse_tie_breaks_by_smallest_id():
     up = Trajectory("u", np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]]))
     dn = Trajectory("d", np.array([[0.0, -1.0], [1.0, -1.0], [2.0, -1.0]]))
     tree = single_linkage(distance_matrix([up, dn]), member_ids=["u", "d"])
-    obs = gen_coarse([1.0, 0.0], 0.0, tree, [up, dn], 0.0, 5, np.random.default_rng(7))
+    obs = gen_coarse([1.0, 0.0], 0.0, ClassPointIndex(tree, [up, dn]), 0.0,
+                     np.random.default_rng(7), 1.0)
     assert obs.class_id == 0
 
 
@@ -86,8 +86,8 @@ def test_coarse_small_noise_matches_nearest_class_rule(fixed_corpus, fixed_tree)
 
     for _ in range(25):
         z = np.array([rng.uniform(0, 10), rng.uniform(-6, 6)])
-        obs = gen_coarse(z, 1e-6, fixed_tree, fixed_corpus, level, 10,
-                         np.random.default_rng(9), index=idx)
+        obs = gen_coarse(z, 1e-6, idx, level, np.random.default_rng(9),
+                         bbox_diagonal(fixed_corpus))
         direct = min(alive, key=lambda c: (nearest(c, z), c))
         assert obs.class_id == direct
 
@@ -104,7 +104,7 @@ def test_coarse_junction_monte_carlo(junction_corpus):
     z = truth.points[-5]  # deep inside the branch
     rng = np.random.default_rng(10)
     hits = sum(
-        gen_coarse(z, 0.02, tree, junction_corpus, level, 10, rng, index=idx).class_id == want
+        gen_coarse(z, 0.02, idx, level, rng, bbox_diagonal(junction_corpus)).class_id == want
         for _ in range(1000))
     assert hits >= 950
 
@@ -121,7 +121,8 @@ def test_default_coarse_level_class_count(fixed_tree):
 def test_observation_plan_mixed(fixed_corpus, fixed_tree):
     cfg = ObsConfig(psi=0.01, coarse_prob=0.5)
     rng = np.random.default_rng(11)
-    plan = observation_plan(fixed_corpus[0].points, cfg, fixed_tree, fixed_corpus,
+    plan = observation_plan(fixed_corpus[0].points, cfg,
+                            ClassPointIndex(fixed_tree, fixed_corpus),
                             bbox_diagonal(fixed_corpus), rng)
     assert len(plan) == len(fixed_corpus[0]) - 1
     n_coarse = 0
@@ -137,7 +138,8 @@ def test_observation_plan_mixed(fixed_corpus, fixed_tree):
 def test_observation_plan_lead_in(fixed_corpus, fixed_tree):
     cfg = ObsConfig(psi=0.01, mode="lead_in", lead_in_fraction=0.1)
     rng = np.random.default_rng(12)
-    plan = observation_plan(fixed_corpus[0].points, cfg, fixed_tree, fixed_corpus,
+    plan = observation_plan(fixed_corpus[0].points, cfg,
+                            ClassPointIndex(fixed_tree, fixed_corpus),
                             bbox_diagonal(fixed_corpus), rng)
     steps = len(plan)
     lead = round(0.1 * steps)
@@ -152,7 +154,8 @@ def test_observation_plan_lead_in(fixed_corpus, fixed_tree):
 def test_observation_stream_round_trip(tmp_path, fixed_corpus, fixed_tree):
     cfg = ObsConfig(psi=0.02, coarse_prob=0.5)
     rng = np.random.default_rng(14)
-    plan = observation_plan(fixed_corpus[0].points, cfg, fixed_tree, fixed_corpus,
+    plan = observation_plan(fixed_corpus[0].points, cfg,
+                            ClassPointIndex(fixed_tree, fixed_corpus),
                             bbox_diagonal(fixed_corpus), rng)
     path = tmp_path / "obs.jsonl"
     save_observations(path, plan)

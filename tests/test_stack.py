@@ -10,7 +10,7 @@ from mhpf.errors import InvalidInputError
 from mhpf.evaluation import LeafParticleFilter, mean_spacing
 from mhpf.filtration import ClusterTree, single_linkage
 from mhpf.geometry import Trajectory, distance_matrix
-from mhpf.obsgen import bbox_diagonal, gen_coarse, gen_fine
+from mhpf.obsgen import ClassPointIndex, bbox_diagonal, gen_coarse, gen_fine
 from mhpf.seeding import PHASE_OBSERVE, child_seed, substream
 from mhpf.stack import (CoarseObservation, FilterStack, FineObservation,
                         bounded_log_weights, check_consistency, split_counts,
@@ -497,6 +497,8 @@ BAD_OBSERVATIONS = {
     "bad_after_good": [FineObservation(np.array([1.0, 0.2])), CoarseObservation(3, 1.5),
                        FineObservation(np.array([np.nan, 0.2]))],
 }
+BAD_SNAPSHOT_LEVELS = {"negative_snapshot_level": [0.0, -1.0],
+                       "infinite_snapshot_level": [0.0, np.inf]}
 
 
 def stack_state(stack):
@@ -505,7 +507,7 @@ def stack_state(stack):
             dict(stack.diagnostics))
 
 
-@pytest.mark.parametrize("name", sorted(BAD_OBSERVATIONS) + ["negative_snapshot_level"])
+@pytest.mark.parametrize("name", sorted(BAD_OBSERVATIONS) + list(BAD_SNAPSHOT_LEVELS))
 def test_step_rejects_bad_observation_without_changing_state(hand_tree, name):
     trajs = hand_trajectories()
 
@@ -520,8 +522,9 @@ def test_step_rejects_bad_observation_without_changing_state(hand_tree, name):
     stack, twin = make(), make()
     before = stack_state(stack)
     with pytest.raises(InvalidInputError):
-        if name == "negative_snapshot_level":
-            stack.step([FineObservation(np.array([1.0, 0.2]))], snapshot_levels=[0.0, -1.0])
+        if name in BAD_SNAPSHOT_LEVELS:
+            stack.step([FineObservation(np.array([1.0, 0.2]))],
+                       snapshot_levels=BAD_SNAPSHOT_LEVELS[name])
         else:
             stack.step(BAD_OBSERVATIONS[name])
     after = stack_state(stack)
@@ -623,6 +626,7 @@ def test_mixed_run_snapshots_match_golden(fixed_corpus, fixed_tree):
     stack = FilterStack(fixed_tree, dyn, prior, start_point_sampler(fixed_tree, fixed_corpus),
                         N, 0.01, seed=2718)
     scale = bbox_diagonal(fixed_corpus)
+    index = ClassPointIndex(fixed_tree, fixed_corpus)
     births = fixed_tree.unique_births()
     truth = fixed_corpus[5].points
     rng = np.random.default_rng(61)
@@ -632,6 +636,6 @@ def test_mixed_run_snapshots_match_golden(fixed_corpus, fixed_tree):
         obs = [gen_fine(z, 0.02, scale, rng)]
         if rng.random() < 0.5:
             level = float(births[int(rng.integers(len(births)))])
-            obs.append(gen_coarse(z, 0.02, fixed_tree, fixed_corpus, level, 10, rng, scale=scale))
+            obs.append(gen_coarse(z, 0.02, index, level, rng, scale))
         digest.update(json.dumps(stack.step(obs), sort_keys=True).encode() + b"\n")
     assert digest.hexdigest() == GOLDEN_MIXED_RUN_SHA256
