@@ -110,9 +110,6 @@ class LeafParticleFilter:
     def class_probs(self) -> dict[int, float]:
         return class_masses(self.labels, self.weights, [int(c) for c in self._class_ids])
 
-    def map_class(self) -> int:
-        return _most_probable(self.class_probs())
-
     def point_estimate(self) -> np.ndarray:
         return weighted_mean(self.positions, self.weights)
 
@@ -416,6 +413,17 @@ def _run_trial(args):
 
 def run_experiment(cfg: ExperimentConfig, corpus=None, scenarios=None):
     """Sweep cells over scenarios x repeats; returns (raw_rows, summary_rows)."""
+    for kind in cfg.filters:
+        if kind not in _RUNNERS:
+            raise InvalidInputError(f"'filters': unknown filter {kind!r}, "
+                                    f"expected one of {sorted(_RUNNERS)}")
+    swept = ("filters", "kappas", "psis")
+    for key in swept + (("lead_in_fractions",) if cfg.mode == "lead_in" else ()):
+        if len(getattr(cfg, key)) == 0:
+            raise InvalidInputError(f"{key!r} must not be empty")
+    for key in ("n_scenarios", "n_repeats"):
+        if getattr(cfg, key) < 1:
+            raise InvalidInputError(f"{key!r} must be >= 1, got {getattr(cfg, key)!r}")
     if corpus is None:
         corpus = load_corpus(cfg)
     if scenarios is None:

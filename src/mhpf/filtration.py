@@ -203,11 +203,6 @@ class ClusterTree:
         self._partitions[key] = part
         return part
 
-    def leaves_under(self, node_id: int) -> tuple[int, ...]:
-        """Sorted leaf node ids in the subtree rooted at node_id."""
-        t = self._tables
-        return tuple(t.ids[r] for r in t.leaf_rows[t.membership[self.row(node_id)]].tolist())
-
     def tree_class_distance(self, c1: int, c2: int) -> float:
         """Birth index of the lowest common ancestor of the two nodes."""
         return float(self._tables.lca_birth[self.row(c1), self.row(c2)])

@@ -46,13 +46,6 @@ class CoarseObservation:
 Observation = FineObservation | CoarseObservation
 
 
-@dataclass(frozen=True)
-class Particle:
-    position: np.ndarray
-    class_id: int
-    weight: float
-
-
 def bounded_log_weights(dists: np.ndarray) -> np.ndarray:
     """Monotone-decreasing, finite, non-negative weights from distances.
 
@@ -216,7 +209,7 @@ class FilterStack:
         self._leaf_partition = tree.partition(leaf_ids)
         self.class_probs: dict[int, float] = {}
         self.prev_probs: dict[int, float] = {}
-        self._rebuild(self._leaf_partition, self.leaf_weights)
+        self.rebuild_tree(self._leaf_partition, self.leaf_weights)
         self.prev_probs = self.class_probs
 
     # -- level bookkeeping ---------------------------------------------------
@@ -225,50 +218,26 @@ class FilterStack:
     def t(self) -> int:
         return self._t
 
-    def leaf_level(self) -> set[int]:
-        return set(int(c) for c in self._leaf_ids)
-
     def _leaf_columns(self) -> np.ndarray:
         """Each particle's leaf class as a column of the tree's leaf tables."""
         return np.searchsorted(self._leaf_ids, self.leaf_labels)
-
-    def _under(self, node_id: int) -> np.ndarray:
-        """Mask of the particles whose leaf class lies under node_id."""
-        return self.tree.membership[self.tree.row(node_id)][self._leaf_columns()]
 
     def _groups(self, part, cols: np.ndarray):
         """Per-particle class position in a partition, plus its group_slices."""
         cls = part.leaf_class[cols]
         return (cls, *group_slices(cls, len(part.ids)))
 
-    def particles_of(self, node_id: int) -> list[Particle]:
-        """The particles under a node, relabelled to it, with their own weights."""
-        mask = self._under(node_id)
-        pos = self.leaf_positions[mask]
-        w = self.leaf_weights[mask]
-        return [Particle(pos[i], int(node_id), float(w[i])) for i in range(len(w))]
-
-    def particles_at(self, b: float) -> list[Particle]:
-        out: list[Particle] = []
-        for c in sorted(self.tree.alive_at(b)):
-            out.extend(self.particles_of(c))
-        return out
-
     # -- tree probability rebuild ----------------------------------------------
 
-    def rebuild_tree(self, updated_level, weights=None) -> None:
+    def rebuild_tree(self, part, weights, order=None, bounds=None) -> None:
         """Recompute class probabilities from one level's particle weights.
 
-        A class of the level gets the sum of `weights` (default: the particle
-        weights) over the particles under it; descendants scale
-        proportionally against the pre-update snapshot (an exhausted parent
-        spreads its new mass uniformly over its children); ancestors sum.
-        The level's classes must cover every leaf exactly once.
+        A class of the partition `part` gets the sum of `weights` over the
+        particles under it (grouped by `order` and `bounds` when the caller
+        has them); descendants scale proportionally against the pre-update
+        snapshot (an exhausted parent spreads its new mass uniformly over its
+        children); ancestors sum.
         """
-        self._rebuild(self.tree.partition(updated_level),
-                      self.leaf_weights if weights is None else weights)
-
-    def _rebuild(self, part, weights, order=None, bounds=None) -> None:
         if order is None:
             _, order, bounds = self._groups(part, self._leaf_columns())
         sums = group_sums(weights, order, bounds)
@@ -321,7 +290,7 @@ class FilterStack:
         else:
             w = w / s
         self.leaf_weights = w
-        self._rebuild(self._leaf_partition, w)
+        self.rebuild_tree(self._leaf_partition, w)
 
     def _update_coarse(self, class_id: int, level_value: float) -> None:
         part = self.tree.partition(self.tree.alive_ids(level_value))
@@ -342,7 +311,7 @@ class FilterStack:
             # Keep the level's particle weights a distribution; the class
             # masses only depend on their ratios.
             w /= level_total
-        self._rebuild(part, w, order, bounds)
+        self.rebuild_tree(part, w, order, bounds)
         # Leaf classes in the level take these weights; the rest keep theirs,
         # rescaled by their class's probability ratio.
         in_level = ~part.leaf_below[cols]
@@ -392,15 +361,17 @@ class FilterStack:
         self.leaf_positions = np.vstack([self.leaf_positions[idx], self.leaf_positions[src]])
         self.leaf_labels = np.concatenate([self.leaf_labels[idx], fresh])
         self.leaf_weights = np.full(n, 1.0 / n)
-        self._rebuild(self._leaf_partition, self.leaf_weights)
+        self.rebuild_tree(self._leaf_partition, self.leaf_weights)
 
     # -- queries -----------------------------------------------------------------
 
     def map_class(self, b: float) -> int:
         """Highest-probability alive class at level b (ties: birth, then id)."""
+        alive = self.tree.alive_ids(b)
+        if not alive:
+            raise InvalidInputError(f"no class is alive at level {b!r}")
         probs, nodes = self.class_probs, self.tree.nodes
-        return min(self.tree.alive_ids(b),
-                   key=lambda c: (-probs.get(c, 0.0), nodes[c].birth, c))
+        return min(alive, key=lambda c: (-probs.get(c, 0.0), nodes[c].birth, c))
 
     def point_estimate(self) -> np.ndarray:
         """Weight-averaged particle position."""
@@ -458,6 +429,7 @@ def check_consistency(stack: FilterStack) -> None:
     to within CONSISTENCY_ATOL.
     """
     tree = stack.tree
+    cols = stack._leaf_columns()
     root_birth = tree.root_birth
     if root_birth > 0:
         levels = np.linspace(0.0, root_birth, CONSISTENCY_LEVELS)
@@ -468,7 +440,7 @@ def check_consistency(stack: FilterStack) -> None:
         total = sum(stack.class_probs.get(c, 0.0) for c in alive)
         if abs(total - 1.0) > CONSISTENCY_ATOL:
             raise AssertionError(f"level {b}: probabilities sum to {total}")
-        count = sum(int(stack._under(c).sum()) for c in alive)
+        count = int(tree.membership[[tree.row(c) for c in alive]][:, cols].sum())
         if count != stack.n_particles:
             raise AssertionError(f"level {b}: {count} particles != N={stack.n_particles}")
     for nid, node in tree.nodes.items():

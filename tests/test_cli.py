@@ -135,15 +135,36 @@ _TINY_EVAL = {"corpus_kind": "fixed", "corpus_n": 4, "n_points": 10, "n_scenario
     ({**_TINY_EVAL, "kappas": ["a"]}, "'kappas'"),
     ({**_TINY_EVAL, "holdout": 1}, "'holdout'"),
     ({**_TINY_EVAL, "filters": ["mhpf", None]}, "'filters'"),
+    ({**_TINY_EVAL, "filters": ["mhpf", "xyz"]}, "'filters'"),
+    # Checked before the corpus loads: the missing corpus file is never read.
+    ({"corpus_kind": "file", "corpus_path": "missing.jsonl", "filters": ["xyz"]}, "'filters'"),
+    ({**_TINY_EVAL, "n_repeats": 0}, "'n_repeats'"),
+    ({**_TINY_EVAL, "n_repeats": -1}, "'n_repeats'"),
+    ({**_TINY_EVAL, "n_scenarios": 0}, "'n_scenarios'"),
+    ({**_TINY_EVAL, "filters": []}, "'filters'"),
+    ({**_TINY_EVAL, "kappas": []}, "'kappas'"),
+    ({**_TINY_EVAL, "mode": "lead_in", "lead_in_fractions": []}, "'lead_in_fractions'"),
 ])
 def test_bad_eval_config_is_reported(tmp_path, capsys, config, named):
+    assert_eval_rejected(tmp_path, capsys, config, named)
+
+
+@pytest.mark.parametrize("flag, named", [("--repeats", "'n_repeats'"),
+                                         ("--scenarios", "'n_scenarios'")])
+def test_zero_eval_count_override_is_reported(tmp_path, capsys, flag, named):
+    assert_eval_rejected(tmp_path, capsys, _TINY_EVAL, named, flag, "0")
+
+
+def assert_eval_rejected(tmp_path, capsys, config, named, *flags):
+    """`mhpf eval` exits 2 with an error naming `named` and writes no CSV."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
     rc = run_cli(["eval", "--config", str(cfg_path), "--out-raw", str(tmp_path / "r.csv"),
-                  "--out-summary", str(tmp_path / "s.csv")])
+                  "--out-summary", str(tmp_path / "s.csv"), *flags])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
+    assert not (tmp_path / "r.csv").exists()
 
 
 @pytest.mark.parametrize("levels, named", [("0,x", "'x'"), ("inf", "finite")])

@@ -36,14 +36,25 @@ def hand_stack(hand_tree):
                        N, 0.01, seed=123)
 
 
+def rebuild_from_leaves(stack):
+    stack.rebuild_tree(stack.tree.partition(stack.tree.leaves()), stack.leaf_weights)
+
+
 def force_counts(stack, counts):
     """Overwrite particle labels with exact per-leaf counts and re-derive state."""
     labels = np.concatenate([np.full(k, leaf, dtype=int) for leaf, k in counts.items()])
     assert len(labels) == stack.n_particles
     stack.leaf_labels = labels
     stack.leaf_weights = np.full(stack.n_particles, 1.0 / stack.n_particles)
-    stack.rebuild_tree(stack.leaf_level())
+    rebuild_from_leaves(stack)
     stack.prev_probs = dict(stack.class_probs)
+
+
+def under(stack, node_ids):
+    """(class, particle) mask: the particle's leaf class lies under the class."""
+    tree = stack.tree
+    cols = np.searchsorted(tree.leaves(), stack.leaf_labels)
+    return tree.membership[[tree.row(c) for c in node_ids]][:, cols]
 
 
 def test_init_uniform_prior_counts_and_weights(hand_stack):
@@ -75,7 +86,7 @@ def test_init_rejects_non_leaf_prior(hand_tree):
 
 def test_rebuild_unchanged_weights_is_fixed_point(hand_stack):
     before = dict(hand_stack.class_probs)
-    hand_stack.rebuild_tree(hand_stack.leaf_level())
+    rebuild_from_leaves(hand_stack)
     assert hand_stack.class_probs == before
 
 
@@ -89,7 +100,7 @@ def test_rebuild_two_leaf_additivity():
                         4, 0.0, seed=1)
     force_counts(stack, {0: 2, 1: 2})
     stack.leaf_weights = np.array([0.375, 0.375, 0.125, 0.125])
-    stack.rebuild_tree(stack.leaf_level())
+    rebuild_from_leaves(stack)
     assert stack.class_probs[0] == pytest.approx(0.75)
     assert stack.class_probs[1] == pytest.approx(0.25)
     assert stack.class_probs[tree.root] == pytest.approx(1.0)
@@ -101,7 +112,7 @@ def test_rebuild_middle_level_hand_computed(hand_stack):
     assert stack.class_probs[3] == pytest.approx(0.8)
     w = np.full(N, 0.02)
     w[stack.leaf_labels == 2] = 0.01
-    stack.rebuild_tree({3, 2}, w)
+    stack.rebuild_tree(stack.tree.partition({3, 2}), w)
     assert stack.class_probs[3] == pytest.approx(8.0 / 9.0, abs=1e-12)
     assert stack.class_probs[2] == pytest.approx(1.0 / 9.0, abs=1e-12)
     assert stack.class_probs[0] == pytest.approx(5.0 / 9.0, abs=1e-12)
@@ -117,7 +128,7 @@ def test_rebuild_zero_prev_parent_splits_uniformly(hand_stack):
     # scale, so the children split it evenly.
     # Half the particles move under node 3 (all into leaf 0) before the update.
     stack.leaf_labels[:N // 2] = 0
-    stack.rebuild_tree({3, 2}, np.full(N, 1.0 / N))
+    stack.rebuild_tree(stack.tree.partition({3, 2}), np.full(N, 1.0 / N))
     assert stack.class_probs[3] == pytest.approx(0.5)
     assert stack.class_probs[0] == pytest.approx(0.25)
     assert stack.class_probs[1] == pytest.approx(0.25)
@@ -125,21 +136,27 @@ def test_rebuild_zero_prev_parent_splits_uniformly(hand_stack):
 
 def test_internal_nodes_hold_all_particles_of_one_leaf(hand_stack):
     force_counts(hand_stack, {0: N, 1: 0, 2: 0})
-    assert len(hand_stack.particles_of(3)) == N
-    assert len(hand_stack.particles_of(4)) == N
-    assert hand_stack.particles_of(2) == []
+    assert under(hand_stack, [3, 4, 2]).sum(axis=1).tolist() == [N, N, 0]
 
 
 def assert_nodes_hold_leaf_particles(stack):
-    """Every node's particles are the leaf particles under it, relabelled."""
-    for nid, node in stack.tree.nodes.items():
-        mask = np.isin(stack.leaf_labels, stack.tree.leaves_under(nid))
-        parts = stack.particles_of(nid)
-        assert len(parts) == int(mask.sum())
-        assert all(p.class_id == nid for p in parts)
-        got_pos = np.array([p.position for p in parts]).reshape(-1, stack.leaf_positions.shape[1])
-        assert np.array_equal(got_pos, stack.leaf_positions[mask])
-        assert np.array_equal([p.weight for p in parts], stack.leaf_weights[mask])
+    """Every node holds the particles of the leaves under it, and each level all N once."""
+    tree = stack.tree
+    nodes = sorted(tree.nodes)
+    for nid, mask in zip(nodes, under(stack, nodes)):
+        leaves, todo = set(), [nid]  # oracle: walk the children down to the leaves
+        while todo:
+            node = tree.nodes[todo.pop()]
+            todo.extend(node.children)
+            if node.is_leaf:
+                leaves.add(node.id)
+        assert np.array_equal(mask, np.isin(stack.leaf_labels, sorted(leaves)))
+    for b in tree.unique_births():
+        part = tree.partition(tree.alive_ids(b))
+        held = under(stack, part.ids)
+        assert np.all(held.sum(axis=0) == 1)
+        cls = part.leaf_class[np.searchsorted(tree.leaves(), stack.leaf_labels)]
+        assert np.array_equal(held.argmax(axis=0), cls)
 
 
 def test_particles_of_internal_node_is_leaf_particles_under_it(fixed_corpus, fixed_tree):
@@ -174,8 +191,7 @@ def test_chain_tree_every_level_holds_n():
     prior = {c: 1.0 / 5.0 for c in tree.leaves()}
     stack = FilterStack(tree, dyn, prior, start_point_sampler(tree, trajs), N, 0.0, seed=3)
     for b in tree.unique_births():
-        count = sum(len(stack.particles_of(c)) for c in tree.alive_at(b))
-        assert count == N
+        assert under(stack, tree.alive_ids(b)).sum() == N
     check_consistency(stack)
 
 
@@ -244,7 +260,7 @@ def test_coarse_update_equal_weights_within_class(hand_stack):
     stack = hand_stack
     force_counts(stack, {0: 50, 1: 30, 2: 20})
     stack.update(CoarseObservation(3, 1.5))
-    w3 = [p.weight for p in stack.particles_of(3)]
+    w3 = stack.leaf_weights[under(stack, [3])[0]].tolist()
     assert len(w3) == 80
     assert len(set(w3)) == 1
     assert w3[0] > 0
@@ -254,8 +270,8 @@ def test_coarse_update_observed_class_beats_sibling(hand_stack):
     stack = hand_stack
     force_counts(stack, {0: 50, 1: 30, 2: 20})
     stack.update(CoarseObservation(3, 1.5))
-    w3 = np.array([p.weight for p in stack.particles_of(3)])
-    w2 = np.array([p.weight for p in stack.particles_of(2)])
+    in3, in2 = under(stack, [3, 2])
+    w3, w2 = stack.leaf_weights[in3], stack.leaf_weights[in2]
     assert len(w2) == 20
     assert np.all(w3[:, None] > w2[None, :])
     # Tree distances: own birth (1.0) for the observed class, root birth (2.0)
@@ -290,7 +306,7 @@ def test_coarse_at_root_level_preserves_leaf_ratio():
                         4, 0.0, seed=1)
     force_counts(stack, {0: 2, 1: 2})
     stack.leaf_weights = np.array([0.375, 0.375, 0.125, 0.125])
-    stack.rebuild_tree(stack.leaf_level())
+    rebuild_from_leaves(stack)
     stack.prev_probs = dict(stack.class_probs)
     before = dict(stack.class_probs)
     resets = stack.diagnostics["uniform_resets"]
@@ -353,6 +369,11 @@ def test_map_class_ties_and_argmax(hand_stack):
     assert hand_stack.map_class(0.0) == 2
     assert hand_stack.map_class(1.5) == 2  # node 3 holds 0.4 < 0.6
     assert hand_stack.map_class(10.0) == hand_stack.tree.root
+    for b in (np.inf, np.nan):
+        with pytest.raises(InvalidInputError, match="no class is alive at level"):
+            hand_stack.map_class(b)
+        with pytest.raises(InvalidInputError, match="no class is alive at level"):
+            hand_stack.snapshot([b])
 
 
 def test_point_estimate_formulas(hand_stack):
@@ -445,9 +466,9 @@ def test_bounded_log_weights_shape():
 
 
 def test_particles_at_level(hand_stack):
-    parts = hand_stack.particles_at(1.5)
-    assert len(parts) == N
-    assert {p.class_id for p in parts} <= {2, 3}
+    alive = hand_stack.tree.alive_ids(1.5)
+    assert alive == (2, 3)
+    assert np.all(under(hand_stack, alive).sum(axis=0) == 1)
 
 
 def test_level_weights_normalized_after_updates(hand_stack):
@@ -455,10 +476,10 @@ def test_level_weights_normalized_after_updates(hand_stack):
     force_counts(stack, {0: 50, 1: 30, 2: 20})
     stack.update(CoarseObservation(3, 1.5))
     for b in (0.0, 1.5, 2.0):
-        total = sum(p.weight for p in stack.particles_at(b))
+        total = (under(stack, stack.tree.alive_ids(b)) @ stack.leaf_weights).sum()
         assert total == pytest.approx(1.0, abs=1e-9)
     stack.update(FineObservation(np.array([1.0, 0.1])))
-    total = sum(p.weight for p in stack.particles_at(0.0))
+    total = (under(stack, stack.tree.alive_ids(0.0)) @ stack.leaf_weights).sum()
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -594,9 +615,9 @@ def test_rebuild_rejects_non_finite_weights(hand_stack, bad):
     before = dict(hand_stack.class_probs)
     w = np.full(N, 1.0 / N)
     w[3] = bad
-    for level in (hand_stack.leaf_level(), {3, 2}):
+    for level in (hand_stack.tree.leaves(), {3, 2}):
         with pytest.raises(InvalidInputError, match="non-finite"):
-            hand_stack.rebuild_tree(level, w)
+            hand_stack.rebuild_tree(hand_stack.tree.partition(level), w)
         assert hand_stack.class_probs == before
 
 
@@ -639,3 +660,53 @@ def test_mixed_run_snapshots_match_golden(fixed_corpus, fixed_tree):
             obs.append(gen_coarse(z, 0.02, index, level, rng, scale))
         digest.update(json.dumps(stack.step(obs), sort_keys=True).encode() + b"\n")
     assert digest.hexdigest() == GOLDEN_MIXED_RUN_SHA256
+
+
+def ternary_tree():
+    """Six leaves; node 6 has three children (0, 1, 2), the rest merge in pairs."""
+    def node(nid, birth, death, parent, children, members):
+        return {"id": nid, "members": [str(m) for m in members], "birth": birth,
+                "death": death, "parent": parent, "children": children}
+
+    return ClusterTree.from_dict({"root": 9, "nodes": [
+        *(node(i, 0.0, 1.0, 6, [], [i]) for i in range(3)),
+        node(3, 0.0, 0.5, 7, [], [3]), node(4, 0.0, 0.5, 7, [], [4]),
+        node(5, 0.0, 2.0, 8, [], [5]),
+        node(6, 1.0, 3.0, 9, [0, 1, 2], [0, 1, 2]),
+        node(7, 0.5, 2.0, 8, [3, 4], [3, 4]),
+        node(8, 2.0, 3.0, 9, [7, 5], [3, 4, 5]),
+        node(9, 3.0, None, None, [6, 8], range(6)),
+    ]})
+
+
+# sha256 of the all-level snapshots of a run on ternary_tree(), recorded
+# before the per-particle views of the stack were removed. The prior leaves
+# node 6 empty at the first step, whose coarse observation names a level
+# where node 6 is alive, so the rebuild splits node 6's mass over its three
+# children; every leaf-level rebuild sums node 6 over three children.
+GOLDEN_TERNARY_RUN_SHA256 = "b758179adae3bb2ab2c609585812b5a1ac93b9f957af732b296286dcf9973886"
+
+
+def test_ternary_tree_run_snapshots_match_golden():
+    tree = ternary_tree()
+    steps = np.arange(30)
+    corpus = [Trajectory(str(i), np.column_stack([steps / 3.0,
+                                                  1.5 * i + np.sin(steps * (i + 1) / 7)]))
+              for i in range(6)]
+    dyn = build_dynamics(tree, corpus, kappa=0.3, epsilon_floor=2 * mean_spacing(corpus))
+    stack = FilterStack(tree, dyn, {3: 1.0, 4: 1.0, 5: 1.0},
+                        start_point_sampler(tree, corpus), 60, 0.05, seed=99)
+    scale = bbox_diagonal(corpus)
+    index = ClassPointIndex(tree, corpus)
+    births = tree.unique_births()
+    truth = corpus[1].points
+    rng = np.random.default_rng(17)
+    digest = hashlib.sha256()
+    for t in range(1, len(truth)):
+        level = float(births[(t + 1) % len(births)])
+        obs = [gen_coarse(truth[t], 0.05, index, level, rng, scale)]
+        if t % 3:
+            obs.insert(0, gen_fine(truth[t], 0.02, scale, rng))
+        digest.update(json.dumps(stack.step(obs), sort_keys=True).encode() + b"\n")
+        check_consistency(stack)
+    assert digest.hexdigest() == GOLDEN_TERNARY_RUN_SHA256
