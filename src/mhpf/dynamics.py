@@ -45,8 +45,12 @@ class ClassDynamics:
             raise InvalidInputError(f"class {self.class_id}: malformed sample arrays")
         if len(self.positions) == 0:
             raise InvalidInputError(f"class {self.class_id}: no dynamics samples")
-        if self.epsilon <= 0:
-            raise InvalidInputError(f"class {self.class_id}: epsilon must be > 0")
+        if not (np.isfinite(self.positions).all() and np.isfinite(self.velocities).all()):
+            raise InvalidInputError(f"class {self.class_id}: non-finite sample positions "
+                                    "or velocities")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise InvalidInputError(f"class {self.class_id}: epsilon must be finite and > 0, "
+                                    f"got {self.epsilon!r}")
         if not (math.isfinite(self.kappa) and self.kappa >= 0):
             raise InvalidInputError(f"class {self.class_id}: kappa must be finite and >= 0, "
                                     f"got {self.kappa!r}")
@@ -55,30 +59,36 @@ class ClassDynamics:
         """Checked copy at another noise fraction, sharing the sample arrays."""
         return replace(self, kappa=float(kappa))
 
+    def _shepard(self, w: np.ndarray, inside: np.ndarray) -> np.ndarray:
+        """Inverse-distance average over the ball, weighting the distances `w` in place.
+
+        Every row of `w` is positive and finite with at least one entry inside:
+        1/d * 1 is exactly 1/d, and d * 0 is +0.0, so the weights equal
+        np.where(inside, 1/d, 0) bit for bit.
+        """
+        np.divide(1.0, w, out=w, where=inside)
+        w *= inside
+        return (w @ self.velocities) / w.sum(axis=1)[:, None]
+
     def _dense_velocities(self, zs: np.ndarray):
         d = cdist(zs, self.positions)
         inside = d < self.epsilon
+        empty = ~inside.any(axis=1)
+        special = empty | (d.min(axis=1) == 0.0)
+        if not special.any():
+            return self._shepard(d, inside), empty
         vels = np.empty_like(zs)
-        flags = np.zeros(len(zs), dtype=bool)
-        zero_mask = d == 0.0
-        has_zero = zero_mask.any(axis=1)
-        any_inside = inside.any(axis=1)
-        regular = any_inside & ~has_zero
+        regular = ~special
         if regular.any():
-            w = np.where(inside[regular], 1.0 / d[regular], 0.0)
-            vels[regular] = (w @ self.velocities) / w.sum(axis=1)[:, None]
-        if has_zero.any():
-            # Inverse-distance weights blow up on a coincident sample; the
-            # limit is that (first such) sample's own velocity.
-            first = zero_mask[has_zero].argmax(axis=1)
-            vels[has_zero] = self.velocities[first]
-        empty = ~any_inside
-        if empty.any():
-            # Off-manifold query: extrapolate from the single nearest sample.
-            nearest = d[empty].argmin(axis=1)
-            vels[empty] = self.velocities[nearest]
-            flags[empty] = True
-        return vels, flags
+            # The matmul runs on exactly the regular rows: BLAS may pick
+            # another kernel, and other last bits, for another shape.
+            vels[regular] = self._shepard(d[regular], inside[regular])
+        # Inverse-distance weights blow up on a coincident sample; the limit
+        # is that (first such) sample's own velocity. An off-manifold query
+        # (empty ball) extrapolates from the single nearest sample. Both are
+        # the row's first minimum.
+        vels[special] = self.velocities[d[special].argmin(axis=1)]
+        return vels, empty
 
     def local_velocities(self, zs: np.ndarray):
         """Velocity estimates for a (k, d) batch and per-row fallback flags."""
@@ -133,8 +143,8 @@ def build_dynamics(tree, trajectories, kappa: float, epsilon_floor: float,
     class is its birth index floored at `epsilon_floor` (leaves are born at
     0, so the floor is what keeps their balls non-degenerate).
     """
-    if epsilon_floor <= 0:
-        raise InvalidInputError("epsilon_floor must be > 0")
+    if not (math.isfinite(epsilon_floor) and epsilon_floor > 0):
+        raise InvalidInputError(f"epsilon_floor must be finite and > 0, got {epsilon_floor!r}")
     by_id = {t.id: t for t in trajectories}
     out: dict[int, ClassDynamics] = {}
     for nid in sorted(set(tree.leaves()) | {tree.root}):

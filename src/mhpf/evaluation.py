@@ -108,7 +108,7 @@ class LeafParticleFilter:
         return self._t
 
     def class_probs(self) -> dict[int, float]:
-        return class_masses(self.labels, self.weights, [int(c) for c in self._class_ids])
+        return class_masses(self.labels, self.weights, self._class_ids)
 
     def point_estimate(self) -> np.ndarray:
         return weighted_mean(self.positions, self.weights)

@@ -86,15 +86,16 @@ def group_sums(values: np.ndarray, order: np.ndarray, bounds: np.ndarray) -> lis
 def class_masses(labels: np.ndarray, weights: np.ndarray, class_ids) -> dict[int, float]:
     """Normalized per-class weight sums over one particle set.
 
-    Summation runs in sorted class order so independent filters sharing a
-    particle set derive bit-identical masses.
+    Every label must be one of `class_ids`. Each class sums as one slice in
+    particle order, and the total in sorted class order, so independent
+    filters sharing a particle set derive bit-identical masses.
     """
-    ordered = sorted(int(c) for c in class_ids)
-    sums = {c: float(weights[labels == c].sum()) for c in ordered}
-    total = sum(sums.values())
+    ordered = np.sort(np.asarray(class_ids, dtype=int))
+    sums = group_sums(weights, *group_slices(np.searchsorted(ordered, labels), len(ordered)))
+    total = sum(sums)
     if total <= 0:
         raise InvalidInputError("all-zero weights: cannot derive class masses")
-    return {c: s / total for c, s in sums.items()}
+    return {c: s / total for c, s in zip(ordered.tolist(), sums)}
 
 
 def advance_particles(positions: np.ndarray, labels: np.ndarray, class_ids: np.ndarray,

@@ -144,6 +144,8 @@ _TINY_EVAL = {"corpus_kind": "fixed", "corpus_n": 4, "n_points": 10, "n_scenario
     ({**_TINY_EVAL, "filters": []}, "'filters'"),
     ({**_TINY_EVAL, "kappas": []}, "'kappas'"),
     ({**_TINY_EVAL, "mode": "lead_in", "lead_in_fractions": []}, "'lead_in_fractions'"),
+    ({**_TINY_EVAL, "epsilon_floor": float("nan")}, "epsilon_floor"),
+    ({**_TINY_EVAL, "epsilon_floor": float("inf")}, "epsilon_floor"),
 ])
 def test_bad_eval_config_is_reported(tmp_path, capsys, config, named):
     assert_eval_rejected(tmp_path, capsys, config, named)
@@ -179,6 +181,22 @@ def test_bad_filter_levels_are_reported(tmp_path, capsys, levels, named):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
+
+
+@pytest.mark.parametrize("floor", ["nan", "inf", "0"])
+def test_bad_filter_epsilon_floor_is_reported(tmp_path, capsys, floor):
+    cpath = tmp_path / "c.jsonl"
+    run_cli(["gen", "--dataset", "fixed", "--out", str(cpath), "--seed", "3", "--n-points", "20"])
+    tpath = tmp_path / "tree.json"
+    run_cli(["cluster", "--trajectories", str(cpath), "--out-tree", str(tpath)])
+    capsys.readouterr()
+    rc = run_cli(["filter", "--trajectories", str(cpath), "--tree", str(tpath),
+                  "--out", str(tmp_path / "s.jsonl"), "--truth-id", "fix00",
+                  "--epsilon-floor", floor])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "epsilon_floor" in err
+    assert not (tmp_path / "s.jsonl").exists()
 
 
 @pytest.mark.parametrize("starts, token", [("1;2", "'1'"), ("3,4;5,x", "'5,x'")])

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
+from mhpf import dynamics
 from mhpf.dynamics import ClassDynamics, build_dynamics, harvest_samples
 from mhpf.errors import InvalidInputError
 from mhpf.filtration import single_linkage
@@ -223,3 +225,92 @@ def test_with_kappa_rejects_negative_or_non_finite(kappa):
         dyn.with_kappa(kappa)
     with pytest.raises(InvalidInputError, match="kappa"):
         make_dynamics([[0.0, 0.0]], [[1.0, 0.0]], kappa=kappa)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf])
+def test_rejects_bad_epsilon(eps):
+    with pytest.raises(InvalidInputError, match="epsilon"):
+        make_dynamics([[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]], eps=eps)
+
+
+@pytest.mark.parametrize("field", ["positions", "velocities"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rejects_non_finite_samples(field, bad):
+    arrays = {"positions": [[0.0, 0.0], [1.0, 0.0]], "velocities": [[1.0, 0.0], [1.0, 0.0]]}
+    arrays[field][1][0] = bad
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        ClassDynamics(class_id=0, positions=np.array(arrays["positions"]),
+                      velocities=np.array(arrays["velocities"]), epsilon=1.0, kappa=0.0,
+                      velocity_scale=1.0)
+
+
+@pytest.mark.parametrize("floor", [0.0, np.nan, np.inf])
+def test_build_rejects_bad_epsilon_floor(floor):
+    tree, trajs = line_corpus()
+    with pytest.raises(InvalidInputError, match="epsilon_floor"):
+        build_dynamics(tree, trajs, kappa=0.0, epsilon_floor=floor)
+
+
+def reference_velocities(dyn, zs):
+    """The kernel written as np.where(inside, 1/d, 0) on copies of the regular rows."""
+    d = cdist(zs, dyn.positions)
+    inside = d < dyn.epsilon
+    vels = np.empty_like(zs)
+    zero_mask = d == 0.0
+    has_zero = zero_mask.any(axis=1)
+    empty = ~inside.any(axis=1)
+    regular = ~empty & ~has_zero
+    if regular.any():
+        w = np.where(inside[regular], 1.0 / d[regular], 0.0)
+        vels[regular] = (w @ dyn.velocities) / w.sum(axis=1)[:, None]
+    vels[has_zero] = dyn.velocities[zero_mask[has_zero].argmax(axis=1)]
+    vels[empty] = dyn.velocities[d[empty].argmin(axis=1)]
+    return vels, empty
+
+
+def kernel_case():
+    """300 random samples with 1/3-ish of them inside a ball, and three kinds of query."""
+    rng = np.random.default_rng(34)
+    positions = rng.normal(size=(300, 2))
+    dyn = make_dynamics(positions, rng.normal(size=(300, 2)), eps=0.8)
+    regular = rng.normal(size=(40, 2))
+    coincident = positions[[7, 7, 150, 299]]
+    off = np.array([[50.0, 0.0], [-9.0, 40.0], [0.0, -30.0]])
+    return dyn, regular, coincident, off
+
+
+def assert_kernel_matches(dyn, zs, expected):
+    before = zs.copy()
+    vels, flags = dyn.local_velocities(zs)
+    assert np.array_equal(zs, before)
+    assert np.array_equal(vels, expected[0])
+    assert np.array_equal(flags, expected[1])
+
+
+def test_kernel_bit_identical_all_regular_batch():
+    dyn, regular, _, _ = kernel_case()
+    expected = reference_velocities(dyn, regular)
+    assert not expected[1].any()
+    assert_kernel_matches(dyn, regular, expected)
+
+
+def test_kernel_bit_identical_mixed_batch():
+    dyn, regular, coincident, off = kernel_case()
+    zs = np.vstack([regular[:5], coincident[:2], off[:1], regular[5:20], coincident[2:],
+                    off[1:], regular[20:]])
+    expected = reference_velocities(dyn, zs)
+    assert expected[1].sum() == len(off)
+    assert np.array_equal(expected[0][5:7], dyn.velocities[[7, 7]])
+    assert_kernel_matches(dyn, zs, expected)
+
+
+def test_kernel_bit_identical_chunked(monkeypatch):
+    dyn, regular, coincident, off = kernel_case()
+    step = 7
+    monkeypatch.setattr(dynamics, "_DENSE_PAIR_LIMIT", step * len(dyn.positions))
+    # Chunks of 7 rows: the first two all-regular, the rest mixed.
+    zs = np.vstack([regular[:14], coincident, off, regular[14:]])
+    chunks = [reference_velocities(dyn, zs[lo:lo + step]) for lo in range(0, len(zs), step)]
+    expected = tuple(np.concatenate(parts) for parts in zip(*chunks))
+    assert len(chunks) > 2 and not chunks[0][1].any()
+    assert_kernel_matches(dyn, zs, expected)

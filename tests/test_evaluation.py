@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -190,6 +193,27 @@ def test_bl2_zero_noise_tracks_corpus_trajectory(fixed_corpus):
     params = RunParams(kappa=0.0, psi=0.0, depletion=0.0)
     res = run_bl2(scenario, params, seed=6, repeat=0)
     assert max(res.mse) < 1e-12
+
+
+# sha256 of the BL1 and BL2 rows of one held-out fixed-corpus trial, recorded
+# before the velocity kernel was rewritten to weight its distance block in
+# place. BL2 runs every step through the pooled root's dense block (one batch
+# with a coincident start sample, the rest all-regular); BL1's leaf classes
+# mix regular, coincident and off-manifold rows. Any drift in the kernel, in
+# BL1's class masses or in a stream shows here.
+GOLDEN_BASELINE_RUN_SHA256 = "b43b234e95ede00a1b910250c6d48b69cd097868684c63933d5dd6abe25b10e0"
+
+
+def test_baseline_runs_match_golden(fixed_corpus):
+    scenario = build_scenario(fixed_corpus, truth_index=5, index=5)
+    params = RunParams(kappa=0.3, psi=0.02, coarse_prob=0.5)
+    plan = make_observation_plan(scenario, params, 2024, 0)
+    digest = hashlib.sha256()
+    for runner in (run_bl1, run_bl2):
+        res = runner(scenario, params, 2024, 0, plan=plan)
+        digest.update(json.dumps([res.mse, res.tree_distance, res.convergence_step]).encode()
+                      + b"\n")
+    assert digest.hexdigest() == GOLDEN_BASELINE_RUN_SHA256
 
 
 def smoke_config(**overrides):
