@@ -21,6 +21,17 @@ from .errors import InvalidInputError
 _DENSE_PAIR_LIMIT = 1 << 22
 
 
+def check_kappa(kappa: float, owner: str = "") -> None:
+    """Reject a negative or non-finite noise fraction; `owner` prefixes the message."""
+    if not (math.isfinite(kappa) and kappa >= 0):
+        raise InvalidInputError(f"{owner}kappa must be finite and >= 0, got {kappa!r}")
+
+
+def check_epsilon_floor(epsilon_floor: float) -> None:
+    if not (math.isfinite(epsilon_floor) and epsilon_floor > 0):
+        raise InvalidInputError(f"epsilon_floor must be finite and > 0, got {epsilon_floor!r}")
+
+
 @dataclass
 class ClassDynamics:
     """Sampled velocity field for one cluster class.
@@ -51,9 +62,7 @@ class ClassDynamics:
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise InvalidInputError(f"class {self.class_id}: epsilon must be finite and > 0, "
                                     f"got {self.epsilon!r}")
-        if not (math.isfinite(self.kappa) and self.kappa >= 0):
-            raise InvalidInputError(f"class {self.class_id}: kappa must be finite and >= 0, "
-                                    f"got {self.kappa!r}")
+        check_kappa(self.kappa, f"class {self.class_id}: ")
 
     def with_kappa(self, kappa: float) -> "ClassDynamics":
         """Checked copy at another noise fraction, sharing the sample arrays."""
@@ -143,8 +152,7 @@ def build_dynamics(tree, trajectories, kappa: float, epsilon_floor: float,
     class is its birth index floored at `epsilon_floor` (leaves are born at
     0, so the floor is what keeps their balls non-degenerate).
     """
-    if not (math.isfinite(epsilon_floor) and epsilon_floor > 0):
-        raise InvalidInputError(f"epsilon_floor must be finite and > 0, got {epsilon_floor!r}")
+    check_epsilon_floor(epsilon_floor)
     by_id = {t.id: t for t in trajectories}
     out: dict[int, ClassDynamics] = {}
     for nid in sorted(set(tree.leaves()) | {tree.root}):

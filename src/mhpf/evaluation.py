@@ -26,7 +26,7 @@ import numpy as np
 from scipy.stats import ranksums
 
 from . import datasets
-from .dynamics import build_dynamics
+from .dynamics import build_dynamics, check_epsilon_floor, check_kappa
 from .errors import InvalidInputError
 from .filtration import single_class_tree, single_linkage
 from .geometry import Trajectory, distance_matrix, load_trajectories
@@ -35,8 +35,8 @@ from .seeding import (PHASE_DATA, PHASE_DEPLETE, PHASE_INIT, PHASE_OBSERVE,
                       PHASE_RESAMPLE, PHASE_SCENARIO, as_seed_sequence, child_seed,
                       substream)
 from .stack import (FilterStack, FineObservation, advance_particles, bounded_log_weights,
-                    check_observations, class_masses, split_counts,
-                    start_point_sampler, weighted_mean)
+                    check_levels, check_observations, check_particles, class_masses,
+                    split_counts, start_point_sampler, weighted_mean)
 
 CONVERGENCE_FRACTION = 0.33
 
@@ -82,10 +82,7 @@ class LeafParticleFilter:
 
     def __init__(self, class_ids, dynamics, class_prior, position_sampler,
                  n_particles: int, depletion: float, seed):
-        if n_particles < 1:
-            raise InvalidInputError("need at least one particle")
-        if not (0.0 <= depletion < 1.0):
-            raise InvalidInputError("depletion fraction must be in [0, 1)")
+        check_particles(n_particles, depletion)
         self._class_ids = np.asarray(sorted(int(c) for c in class_ids), dtype=int)
         self.dynamics = dynamics
         self.n_particles = int(n_particles)
@@ -250,17 +247,18 @@ class ScenarioResult:
     convergence_step: int | None
 
 
+def _obs_config(params: RunParams) -> ObsConfig:
+    """The checked observation settings of one cell."""
+    return ObsConfig(psi=params.psi, coarse_prob=params.coarse_prob,
+                     coarse_level=params.coarse_level,
+                     lead_in_fraction=params.lead_in_fraction, mode=params.mode)
+
+
 def make_observation_plan(scenario: Scenario, params: RunParams, seed, repeat: int):
     """The shared per-step observation lists for one (scenario, repeat) trial."""
-    cfg = ObsConfig(
-        psi=params.psi,
-        coarse_prob=params.coarse_prob,
-        coarse_level=params.coarse_level,
-        lead_in_fraction=params.lead_in_fraction,
-        mode=params.mode,
-    )
     rng = substream(seed, PHASE_OBSERVE, scenario.index, repeat)
-    return observation_plan(scenario.truth.points, cfg, scenario.point_index, scenario.scale, rng)
+    return observation_plan(scenario.truth.points, _obs_config(params), scenario.point_index,
+                            scenario.scale, rng)
 
 
 def filter_args(scenario: Scenario, params: RunParams, seed) -> tuple:
@@ -389,9 +387,43 @@ def select_scenarios(n_trajectories: int, n_scenarios: int, seed) -> list[int]:
     return sorted(int(i) for i in rng.choice(n_trajectories, size=n, replace=False))
 
 
-def _cells(cfg: ExperimentConfig):
+def _cells(cfg: ExperimentConfig) -> list[RunParams]:
+    """One RunParams per swept (kappa, psi, lead-in) cell."""
     leads = cfg.lead_in_fractions if cfg.mode == "lead_in" else (0.0,)
-    return list(itertools.product(cfg.kappas, cfg.psis, leads))
+    return [RunParams(n_particles=cfg.n_particles, depletion=cfg.depletion, kappa=kappa,
+                      psi=psi, mode=cfg.mode, coarse_prob=cfg.coarse_prob,
+                      coarse_level=cfg.coarse_level, lead_in_fraction=lead,
+                      eval_level=cfg.eval_level)
+            for kappa, psi, lead in itertools.product(cfg.kappas, cfg.psis, leads)]
+
+
+def _check_config(cfg: ExperimentConfig) -> list[RunParams]:
+    """The swept cells of a config, every value checked before a corpus is built.
+
+    Each value goes through the check that would reject it later in a run:
+    the observation settings, kappa, the dynamics radius floor, the particle
+    count and depletion, and the snapshot levels.
+    """
+    for kind in cfg.filters:
+        if kind not in _RUNNERS:
+            raise InvalidInputError(f"'filters': unknown filter {kind!r}, "
+                                    f"expected one of {sorted(_RUNNERS)}")
+    swept = ("filters", "kappas", "psis")
+    for key in swept + (("lead_in_fractions",) if cfg.mode == "lead_in" else ()):
+        if len(getattr(cfg, key)) == 0:
+            raise InvalidInputError(f"{key!r} must not be empty")
+    for key in ("n_scenarios", "n_repeats"):
+        if getattr(cfg, key) < 1:
+            raise InvalidInputError(f"{key!r} must be >= 1, got {getattr(cfg, key)!r}")
+    check_particles(cfg.n_particles, cfg.depletion)
+    if cfg.epsilon_floor is not None:
+        check_epsilon_floor(cfg.epsilon_floor)
+    check_levels([b for b in (cfg.eval_level, cfg.coarse_level) if b is not None])
+    cells = _cells(cfg)
+    for params in cells:
+        _obs_config(params)
+        check_kappa(params.kappa)
+    return cells
 
 
 def _run_trial(args):
@@ -412,18 +444,11 @@ def _run_trial(args):
 
 
 def run_experiment(cfg: ExperimentConfig, corpus=None, scenarios=None):
-    """Sweep cells over scenarios x repeats; returns (raw_rows, summary_rows)."""
-    for kind in cfg.filters:
-        if kind not in _RUNNERS:
-            raise InvalidInputError(f"'filters': unknown filter {kind!r}, "
-                                    f"expected one of {sorted(_RUNNERS)}")
-    swept = ("filters", "kappas", "psis")
-    for key in swept + (("lead_in_fractions",) if cfg.mode == "lead_in" else ()):
-        if len(getattr(cfg, key)) == 0:
-            raise InvalidInputError(f"{key!r} must not be empty")
-    for key in ("n_scenarios", "n_repeats"):
-        if getattr(cfg, key) < 1:
-            raise InvalidInputError(f"{key!r} must be >= 1, got {getattr(cfg, key)!r}")
+    """Sweep cells over scenarios x repeats; returns (raw_rows, summary_rows).
+
+    The config is checked (`_check_config`) before the corpus is loaded.
+    """
+    cells = _check_config(cfg)
     if corpus is None:
         corpus = load_corpus(cfg)
     if scenarios is None:
@@ -435,12 +460,7 @@ def run_experiment(cfg: ExperimentConfig, corpus=None, scenarios=None):
             for i in picks
         ]
     tasks = []
-    for (kappa, psi, lead) in _cells(cfg):
-        params = RunParams(
-            n_particles=cfg.n_particles, depletion=cfg.depletion, kappa=kappa,
-            psi=psi, mode=cfg.mode, coarse_prob=cfg.coarse_prob,
-            coarse_level=cfg.coarse_level, lead_in_fraction=lead,
-            eval_level=cfg.eval_level)
+    for params in cells:
         for sc in scenarios:
             for rep in range(cfg.n_repeats):
                 tasks.append((sc, params, cfg.seed, rep, tuple(cfg.filters)))

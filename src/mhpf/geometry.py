@@ -2,9 +2,13 @@
 
 A trajectory is an ordered sequence of d-dimensional points. The discrete
 Frechet distance between two trajectories is the minimum over monotone
-point couplings of the maximum pointwise Euclidean distance; it is computed
-by dynamic programming over antidiagonals, which keeps memory at two rows
-and lets the all-pairs matrix batch many pairs per numpy call.
+point couplings of the maximum pointwise Euclidean distance (Eiter and
+Mannila 1994). One dynamic program computes it for a list of trajectory
+pairs at once: the pairs go in blocks of at most _FRECHET_CELL_LIMIT point
+pairs (one trajectory pair if it alone is larger), each block's squared
+point distances are computed once into a reused buffer, and the coupling
+recursion runs over antidiagonals read as strided views of that buffer,
+with one square root at the end.
 """
 
 from __future__ import annotations
@@ -15,6 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, record_field
+
+# Pairs are evaluated in blocks of at most this many (point, point) cells, so
+# the squared-distance buffer stays near 1 MB whatever the corpus size.
+_FRECHET_CELL_LIMIT = 1 << 17
 
 
 def euclidean(a, b) -> float:
@@ -67,36 +75,59 @@ def _as_points(t) -> np.ndarray:
     return pts
 
 
-def _frechet_batch(p: np.ndarray, q_block: np.ndarray) -> np.ndarray:
-    """Discrete Frechet distances between `p` (P, d) and a block (B, Q, d).
+def _frechet_pairs(x: np.ndarray, y: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """Discrete Frechet distances between x[ia[s]] and y[ib[s]] for every s.
 
-    Runs the coupling DP along antidiagonals k = i + j. Cell (i, j) needs
-    C[i, j-1] and C[i-1, j] from diagonal k-1 and C[i-1, j-1] from k-2, so two
-    rolling (B, P) slabs suffice; out-of-range entries are +inf and the k = 0
-    base case seeds the recursion.
+    `x` (m, d, P) and `y` (n, d, Q) hold trajectories coordinate-major. Each
+    block of pairs gets its squared point distances in one reused (B, P, Q)
+    buffer, summed coordinate by coordinate in coordinate order. Cell (i, j)
+    of the coupling recursion needs C[i, j-1] and C[i-1, j] from antidiagonal
+    k-1 (k = i+j) and C[i-1, j-1] from k-2, so three rolling (B, P+1) rows
+    suffice: slot i+1 holds cell i, and slot 0 and every slot not yet reached
+    stay +inf. Antidiagonal k of a flattened P*Q block is the slice
+    k + lo*(Q-1) : k + hi*(Q-1) + 1 : Q-1, so every step reads and writes
+    views made once, before the first block. The recursion runs on squared
+    distances: sqrt is monotone and correctly rounded, so one sqrt of the
+    min/max result equals the min/max of the rooted distances bit for bit.
     """
-    P = p.shape[0]
-    B, Q, _ = q_block.shape
-    prev = np.full((B, P), np.inf)
-    prev2 = np.full((B, P), np.inf)
-    for k in range(P + Q - 1):
-        lo = max(0, k - Q + 1)
-        hi = min(k, P - 1)
-        ps = p[lo:hi + 1]
-        qs = q_block[:, k - hi:k - lo + 1][:, ::-1]
-        dk = np.sqrt(np.sum((ps[None, :, :] - qs) ** 2, axis=-1))
-        cur = np.full((B, P), np.inf)
-        if k == 0:
-            cur[:, 0] = dk[:, 0]
-        else:
-            # At index i: C[i, j-1] = prev[i]; C[i-1, j] = prev[i-1];
-            # C[i-1, j-1] = prev2[i-1]. Missing predecessors stay +inf.
-            best = prev.copy()
-            best[:, 1:] = np.minimum(best[:, 1:], np.minimum(prev[:, :-1], prev2[:, :-1]))
-            cur[:, lo:hi + 1] = np.maximum(dk, best[:, lo:hi + 1])
-        prev2 = prev
-        prev = cur
-    return prev[:, P - 1]
+    dim, P = x.shape[1], x.shape[2]
+    Q = y.shape[2]
+    size = max(1, min(len(ia), _FRECHET_CELL_LIMIT // (P * Q)))
+    sq = np.empty((size, P, Q))
+    part = np.empty((P, Q))
+    rows = np.empty((3, size, P + 1))
+    flat = sq.reshape(size, P * Q)
+    stride = max(Q - 1, 1)  # Q == 1: every antidiagonal is one cell
+    steps = []
+    for k in range(1, P + Q - 1):
+        lo, hi = max(0, k - Q + 1), min(k, P - 1)
+        prev, prev2 = rows[(k - 1) % 3], rows[(k - 2) % 3]
+        steps.append((rows[k % 3][:, lo + 1:hi + 2],  # C[i, j] for i in lo..hi
+                      prev[:, lo + 1:hi + 2],  # C[i, j-1]
+                      prev[:, lo:hi + 1],  # C[i-1, j]
+                      prev2[:, lo:hi + 1],  # C[i-1, j-1]
+                      flat[:, k + lo * (Q - 1):k + hi * (Q - 1) + 1:stride]))  # d(i, j)^2
+    out = np.empty(len(ia))
+    for start in range(0, len(ia), size):
+        pa, pb = ia[start:start + size], ib[start:start + size]
+        for s, (a, b) in enumerate(zip(pa, pb)):
+            cell = sq[s]
+            np.subtract.outer(x[a, 0], y[b, 0], out=cell)
+            np.square(cell, out=cell)
+            for c in range(1, dim):
+                np.subtract.outer(x[a, c], y[b, c], out=part)
+                np.square(part, out=part)
+                cell += part
+        # A short last block also runs on the cells its predecessor left
+        # behind; those rows are dropped.
+        rows.fill(np.inf)
+        rows[0, :, 1] = flat[:, 0]
+        for cur, left, up, diag, dist in steps:
+            np.minimum(left, up, out=cur)
+            np.minimum(cur, diag, out=cur)
+            np.maximum(cur, dist, out=cur)
+        out[start:start + len(pa)] = rows[(P + Q - 2) % 3, :len(pa), P]
+    return np.sqrt(out, out=out)
 
 
 def frechet_distance(t1, t2) -> float:
@@ -105,7 +136,7 @@ def frechet_distance(t1, t2) -> float:
     q = _as_points(t2)
     if p.shape[1] != q.shape[1]:
         raise InvalidInputError(f"dimension mismatch: {p.shape[1]} vs {q.shape[1]}")
-    return float(_frechet_batch(p, q[None, :, :])[0])
+    return float(_frechet_pairs(p.T[None], q.T[None], [0], [0])[0])
 
 
 def _pad_to(pts: np.ndarray, length: int) -> np.ndarray:
@@ -119,7 +150,12 @@ def _pad_to(pts: np.ndarray, length: int) -> np.ndarray:
 
 
 def distance_matrix(trajectories) -> np.ndarray:
-    """All-pairs discrete Frechet matrix, batched one row at a time."""
+    """All-pairs discrete Frechet matrix.
+
+    Trajectories are padded to the longest by repeating their last point and
+    stacked coordinate-major; the upper-triangle pairs, in row-major order,
+    go through one blocked coupling DP (`_frechet_pairs`).
+    """
     pts = [_as_points(t) for t in trajectories]
     if len(pts) == 0:
         raise InvalidInputError("need at least one trajectory")
@@ -129,12 +165,10 @@ def distance_matrix(trajectories) -> np.ndarray:
             raise InvalidInputError("trajectories must share one dimension")
     m = len(pts)
     longest = max(p.shape[0] for p in pts)
-    block = np.stack([_pad_to(p, longest) for p in pts])
+    block = np.stack([_pad_to(p, longest).T for p in pts])
+    ia, ib = np.triu_indices(m, 1)
     out = np.zeros((m, m))
-    for i in range(m - 1):
-        row = _frechet_batch(block[i], block[i + 1:])
-        out[i, i + 1:] = row
-        out[i + 1:, i] = row
+    out[ia, ib] = out[ib, ia] = _frechet_pairs(block, block, ia, ib)
     return out
 
 

@@ -32,8 +32,8 @@ class ObsConfig:
     mode: str = "mixed"  # "mixed" | "lead_in"
 
     def __post_init__(self):
-        if self.psi < 0:
-            raise InvalidInputError("psi must be >= 0")
+        if not (0.0 <= self.psi < math.inf):
+            raise InvalidInputError(f"psi must be finite and >= 0, got {self.psi!r}")
         if not (0.0 <= self.coarse_prob <= 1.0):
             raise InvalidInputError("coarse_prob must be in [0, 1]")
         if not (0.0 <= self.lead_in_fraction <= 1.0):

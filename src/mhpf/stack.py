@@ -141,6 +141,18 @@ def split_counts(n: int, depletion: float) -> tuple[int, int]:
     return n - n_random, n_random
 
 
+def check_particles(n_particles: int, depletion: float) -> None:
+    if n_particles < 1:
+        raise InvalidInputError("need at least one particle")
+    if not (0.0 <= depletion < 1.0):
+        raise InvalidInputError("depletion fraction must be in [0, 1)")
+
+
+def check_levels(levels) -> None:
+    if not all(0 <= b < np.inf for b in levels):
+        raise InvalidInputError(f"snapshot levels must be finite and >= 0, got {levels!r}")
+
+
 def check_observations(observations, dim: int, tree=None) -> tuple:
     """One step's observations as a tuple, each checked before any state changes.
 
@@ -177,10 +189,7 @@ class FilterStack:
 
     def __init__(self, tree, dynamics, class_prior: dict, position_sampler,
                  n_particles: int, depletion: float, seed):
-        if n_particles < 1:
-            raise InvalidInputError("need at least one particle")
-        if not (0.0 <= depletion < 1.0):
-            raise InvalidInputError("depletion fraction must be in [0, 1)")
+        check_particles(n_particles, depletion)
         leaf_ids = tree.leaves()
         leaf_set = set(leaf_ids)
         for c in class_prior:
@@ -409,9 +418,8 @@ class FilterStack:
         """
         observations = check_observations(observations, self.leaf_positions.shape[1],
                                           self.tree)
-        if snapshot_levels is not None and not all(0 <= b < np.inf for b in snapshot_levels):
-            raise InvalidInputError(
-                f"snapshot levels must be finite and >= 0, got {snapshot_levels!r}")
+        if snapshot_levels is not None:
+            check_levels(snapshot_levels)
         self._t += 1
         # The rebuilds replace class_probs with a new dict, so this is a snapshot.
         self.prev_probs = self.class_probs

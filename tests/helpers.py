@@ -35,6 +35,31 @@ def brute_force_frechet(p: np.ndarray, q: np.ndarray) -> float:
     return best
 
 
+def reference_frechet(p: np.ndarray, q: np.ndarray) -> float:
+    """Discrete Frechet distance by the textbook O(P*Q) coupling recursion.
+
+    Each cell's Euclidean distance is its squared differences summed
+    coordinate by coordinate, then rooted; the recursion runs on the rooted
+    distances, one cell at a time in row-major order.
+    """
+    n, m = len(p), len(q)
+    c = np.full((n, m), np.inf)
+    for i in range(n):
+        for j in range(m):
+            sq = 0.0
+            for a, b in zip(p[i], q[j]):
+                sq += (a - b) * (a - b)
+            d = math.sqrt(sq)
+            if i == 0 and j == 0:
+                c[i, j] = d
+                continue
+            best = min(c[i - 1, j] if i else math.inf,
+                       c[i, j - 1] if j else math.inf,
+                       c[i - 1, j - 1] if i and j else math.inf)
+            c[i, j] = max(d, best)
+    return float(c[n - 1, m - 1])
+
+
 def naive_single_linkage(d: np.ndarray):
     """O(M^3) single linkage over dict-of-frozensets.
 

@@ -13,8 +13,9 @@ import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
-HOOKED = ["dynamics.build_s", "dynamics.samples_total", "filtration.single_linkage_s",
-          "obsgen.plan_s", "seeding.substream_calls", "evaluation.mhpf_trial_s"]
+HOOKED = ["geometry.distance_matrix_s", "geometry.cells_per_s", "dynamics.build_s",
+          "dynamics.samples_total", "filtration.single_linkage_s", "obsgen.plan_s",
+          "seeding.substream_calls", "evaluation.mhpf_trial_s"]
 SWEEP_HOOKED = ["evaluation.bl1_trial_s", "evaluation.bl2_trial_s", "evaluation.summarize_s"]
 
 

@@ -122,6 +122,9 @@ def test_malformed_tree_and_trajectory_files_are_reported(tmp_path, capsys):
 
 _TINY_EVAL = {"corpus_kind": "fixed", "corpus_n": 4, "n_points": 10, "n_scenarios": 1,
               "n_repeats": 1, "n_particles": 10}
+# A config whose corpus file does not exist: a check that runs only after the
+# corpus loads reports the missing file instead of the bad value.
+_MISSING_CORPUS = {"corpus_kind": "file", "corpus_path": "missing.jsonl"}
 
 
 @pytest.mark.parametrize("config, named", [
@@ -146,6 +149,17 @@ _TINY_EVAL = {"corpus_kind": "fixed", "corpus_n": 4, "n_points": 10, "n_scenario
     ({**_TINY_EVAL, "mode": "lead_in", "lead_in_fractions": []}, "'lead_in_fractions'"),
     ({**_TINY_EVAL, "epsilon_floor": float("nan")}, "epsilon_floor"),
     ({**_TINY_EVAL, "epsilon_floor": float("inf")}, "epsilon_floor"),
+    # Each checked before the corpus loads, as above.
+    ({**_MISSING_CORPUS, "epsilon_floor": 0}, "epsilon_floor"),
+    ({**_MISSING_CORPUS, "n_particles": 0}, "particle"),
+    ({**_MISSING_CORPUS, "depletion": 1.5}, "depletion"),
+    ({**_MISSING_CORPUS, "kappas": [-0.3]}, "kappa"),
+    ({**_MISSING_CORPUS, "psis": [-1]}, "psi"),
+    ({**_MISSING_CORPUS, "coarse_prob": 2}, "coarse_prob"),
+    ({**_MISSING_CORPUS, "mode": "lead_in", "lead_in_fractions": [1.5]}, "lead_in_fraction"),
+    ({**_MISSING_CORPUS, "mode": "bogus"}, "'bogus'"),
+    ({**_MISSING_CORPUS, "eval_level": -1}, "levels"),
+    ({**_MISSING_CORPUS, "coarse_level": -1}, "levels"),
 ])
 def test_bad_eval_config_is_reported(tmp_path, capsys, config, named):
     assert_eval_rejected(tmp_path, capsys, config, named)

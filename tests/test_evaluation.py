@@ -1,9 +1,11 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
+from mhpf import evaluation
 from mhpf.dynamics import build_dynamics
 from mhpf.errors import InvalidInputError
 from mhpf.evaluation import (ExperimentConfig, LeafParticleFilter, RAW_FIELDS,
@@ -249,6 +251,31 @@ def test_summary_rederivable_from_raw_csv(tmp_path):
     write_csv(path, raw, RAW_FIELDS)
     reparsed = parse_raw_rows(read_csv(path))
     assert summarize(reparsed) == summary
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"epsilon_floor": math.nan}, "epsilon_floor must be finite and > 0"),
+    ({"epsilon_floor": 0.0}, "epsilon_floor must be finite and > 0"),
+    ({"n_particles": 0}, "need at least one particle"),
+    ({"depletion": 1.5}, r"depletion fraction must be in \[0, 1\)"),
+    ({"kappas": (-0.3,)}, "kappa must be finite and >= 0"),
+    ({"psis": (-1.0,)}, "psi must be finite and >= 0"),
+    ({"psis": (math.nan,)}, "psi must be finite and >= 0"),
+    ({"coarse_prob": 2.0}, r"coarse_prob must be in \[0, 1\]"),
+    ({"mode": "lead_in", "lead_in_fractions": (0.5, 1.5)}, "lead_in_fraction must be in"),
+    ({"mode": "bogus"}, "unknown observation mode 'bogus'"),
+    ({"eval_level": -1.0}, "snapshot levels must be finite and >= 0"),
+    ({"coarse_level": -1.0}, "snapshot levels must be finite and >= 0"),
+    ({"eval_level": math.inf}, "snapshot levels must be finite and >= 0"),
+])
+def test_run_experiment_checks_config_before_building_the_corpus(monkeypatch, overrides,
+                                                                 message):
+    def never(*args, **kwargs):
+        raise AssertionError("the config check must run before the corpus is built")
+    monkeypatch.setattr(evaluation, "load_corpus", never)
+    monkeypatch.setattr(evaluation, "distance_matrix", never)
+    with pytest.raises(InvalidInputError, match=message):
+        run_experiment(smoke_config(**overrides))
 
 
 def test_run_experiment_deterministic_across_workers():

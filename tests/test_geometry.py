@@ -1,11 +1,15 @@
+import hashlib
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import brute_force_frechet
+from helpers import brute_force_frechet, reference_frechet
+from mhpf import geometry
 from mhpf.errors import InvalidInputError
+from mhpf.evaluation import ExperimentConfig, load_corpus
 from mhpf.geometry import (Trajectory, distance_matrix, euclidean, frechet_distance,
                            load_trajectories, save_trajectories, validate_distance_matrix)
 
@@ -135,6 +139,80 @@ def test_distance_matrix_matches_pairwise_calls():
 def test_distance_matrix_rejects_mixed_dims():
     with pytest.raises(InvalidInputError):
         distance_matrix([np.zeros((2, 2)), np.zeros((2, 3))])
+
+
+def _ragged(seed, m, dim, longest=12):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=(int(rng.integers(1, longest + 1)), dim)) * 10.0 ** rng.uniform(-2, 2)
+            for _ in range(m)]
+
+
+def _with_duplicates(seed):
+    trajs = _ragged(seed, 7, 2)
+    trajs[3] = trajs[0].copy()
+    trajs[5] = trajs[0]
+    return trajs
+
+
+ORACLE_SETS = {
+    "ragged_2d": lambda: _ragged(21, 7, 2),
+    "ragged_3d": lambda: _ragged(22, 7, 3),
+    "ragged_8d": lambda: _ragged(23, 7, 8, longest=6),
+    "single_points": lambda: _ragged(24, 7, 2, longest=1),
+    "duplicates": lambda: _with_duplicates(25),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SETS))
+@pytest.mark.parametrize("pairs_per_block", [1, 3, 4, None])
+def test_kernel_matches_reference_dp_bit_for_bit(monkeypatch, name, pairs_per_block):
+    # 7 trajectories give 21 pairs: single-pair blocks, 7 full blocks of 3,
+    # 5 blocks of 4 and a short last block of 1, or one block at the default.
+    trajs = ORACLE_SETS[name]()
+    if pairs_per_block is not None:
+        longest = max(len(t) for t in trajs)
+        monkeypatch.setattr(geometry, "_FRECHET_CELL_LIMIT", pairs_per_block * longest * longest)
+    m = len(trajs)
+    expected = np.array([[reference_frechet(trajs[i], trajs[j]) for j in range(m)]
+                         for i in range(m)])
+    assert np.array_equal(distance_matrix(trajs), expected)
+    pairwise = np.array([[frechet_distance(trajs[i], trajs[j]) for j in range(m)]
+                         for i in range(m)])
+    assert np.array_equal(pairwise, expected)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("m", [60, 120])
+def test_distance_matrix_scratch_memory_stays_bounded(m):
+    # The block buffer is capped by _FRECHET_CELL_LIMIT; only the index and
+    # output arrays grow with the number of trajectories.
+    rng = np.random.default_rng(m)
+    trajs = [np.cumsum(rng.normal(size=(100, 2)), axis=0) for _ in range(m)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        distance_matrix(trajs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000
+
+
+# sha256 of distance_matrix(...).tobytes() on the harness's default corpora
+# (corpus_seed 7, 100 points per trajectory), recorded against the row-batched
+# kernel that computed a square root on every antidiagonal. Any drift in the
+# coupling DP, the point distances or the padding shows here.
+GOLDEN_MATRIX_SHA256 = {
+    "obstacle": "0d2a6992d2fd0066b5b051a5fdc3eb34ab36046e9c1b3c2cf9b5f5c1b58fa6ca",
+    "fixed": "25cbfb1433236d9e5a4ea0dc431e9c179452d95417598bbe5d1e71d29e814e2b",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_MATRIX_SHA256))
+def test_default_corpus_matrix_matches_golden(kind):
+    corpus = load_corpus(ExperimentConfig(corpus_kind=kind, corpus_seed=7))
+    digest = hashlib.sha256(distance_matrix(corpus).tobytes()).hexdigest()
+    assert digest == GOLDEN_MATRIX_SHA256[kind]
 
 
 @pytest.mark.slow
