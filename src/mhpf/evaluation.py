@@ -36,7 +36,7 @@ from .seeding import (PHASE_DATA, PHASE_DEPLETE, PHASE_INIT, PHASE_OBSERVE,
                       substream)
 from .stack import (FilterStack, FineObservation, advance_particles, bounded_log_weights,
                     check_levels, check_observations, check_particles, class_masses,
-                    split_counts, start_point_sampler, weighted_mean)
+                    group_slices, resample_particles, start_point_sampler, weighted_mean)
 
 CONVERGENCE_FRACTION = 0.33
 
@@ -104,8 +104,19 @@ class LeafParticleFilter:
     def t(self) -> int:
         return self._t
 
+    @property
+    def labels(self) -> np.ndarray:
+        return self._labels
+
+    @labels.setter
+    def labels(self, labels: np.ndarray) -> None:
+        """Set the labels and regroup the particles by class, once per label change."""
+        self._labels = labels
+        self._groups = group_slices(np.searchsorted(self._class_ids, labels),
+                                    len(self._class_ids))
+
     def class_probs(self) -> dict[int, float]:
-        return class_masses(self.labels, self.weights, self._class_ids)
+        return class_masses(self.weights, self._groups, self._class_ids)
 
     def point_estimate(self) -> np.ndarray:
         return weighted_mean(self.positions, self.weights)
@@ -123,7 +134,7 @@ class LeafParticleFilter:
     def step(self, observations=()) -> dict:
         observations = check_observations(observations, self.positions.shape[1])
         self._t += 1
-        advance_particles(self.positions, self.labels, self._class_ids, self.dynamics, self.seed,
+        advance_particles(self.positions, self._class_ids, self._groups, self.dynamics, self.seed,
                           self._t)
         for obs in observations:
             if isinstance(obs, FineObservation):
@@ -143,19 +154,11 @@ class LeafParticleFilter:
         return snap
 
     def _resample(self) -> None:
-        n = self.n_particles
-        w = self.weights
-        s = w.sum()
-        w = np.full(n, 1.0 / n) if s <= 0.0 else w / s
-        n_keep, n_random = split_counts(n, self.depletion)
-        rng_r = substream(self.seed, PHASE_RESAMPLE, self._t)
-        idx = rng_r.choice(n, size=n_keep, p=w)
-        rng_d = substream(self.seed, PHASE_DEPLETE, self._t)
-        src = rng_d.choice(n, size=n_random)
-        fresh = rng_d.choice(self._class_ids, size=n_random)
-        self.positions = np.vstack([self.positions[idx], self.positions[src]])
-        self.labels = np.concatenate([self.labels[idx], fresh])
-        self.weights = np.full(n, 1.0 / n)
+        self.positions, self.labels, _ = resample_particles(
+            self.positions, self.labels, self.weights, self._class_ids, self.depletion,
+            substream(self.seed, PHASE_RESAMPLE, self._t),
+            substream(self.seed, PHASE_DEPLETE, self._t))
+        self.weights = np.full(self.n_particles, 1.0 / self.n_particles)
 
 
 def _most_probable(probs: dict[int, float]) -> int:

@@ -49,16 +49,17 @@ class Partition:
     tree's tables. Leaf columns follow `ClusterTree.leaves()`: `leaf_class`
     gives, per leaf column, the position in `ids` of the class above that leaf,
     `leaf_below` marks the leaves strictly under a class, and `leaves_below`
-    lists those as (column, leaf id). `down` lists (node, parent, parent's child
-    count) for every node strictly under a class, parents first; `up` lists
-    (node, children) for every node strictly above the classes, children first.
+    holds those as a (column, row) pair of arrays. The walks name nodes by
+    row: `down` lists (row, parent row, parent's child count) for every node
+    strictly under a class, parents first; `up` lists (row, child rows) for
+    every node strictly above the classes, children first.
     """
 
     ids: tuple[int, ...]
     rows: np.ndarray
     leaf_class: np.ndarray
     leaf_below: np.ndarray
-    leaves_below: tuple[tuple[int, int], ...]
+    leaves_below: tuple[np.ndarray, np.ndarray]
     down: tuple[tuple[int, int, int], ...]
     up: tuple[tuple[int, tuple[int, ...]], ...]
 
@@ -68,6 +69,7 @@ class _Tables:
     ids: list            # node ids, ascending; row r of every table is node ids[r]
     row: dict            # node id -> row
     parent: list         # parent row, -1 for the root
+    children: list       # child rows, in the node's child order
     topdown: list        # rows reachable from the root, every parent before its children
     subtree: np.ndarray  # (node, node) bool: column s lies in the subtree of row r
     leaf_rows: np.ndarray  # rows of the leaves, ascending ids
@@ -117,15 +119,16 @@ class ClusterTree:
         n = len(ids)
         nodes = [self.nodes[nid] for nid in ids]
         parent = [-1 if nd.parent is None else row[nd.parent] for nd in nodes]
+        children = [tuple(row[ch] for ch in nd.children) for nd in nodes]
         births = np.array([nd.birth for nd in nodes])
         topdown = [row[self.root]]
         for r in topdown:
-            topdown.extend(row[ch] for ch in nodes[r].children)
+            topdown.extend(children[r])
         subtree = np.zeros((n, n), dtype=bool)
         for r in reversed(topdown):
             subtree[r, r] = True
-            for ch in nodes[r].children:
-                subtree[r] |= subtree[row[ch]]
+            for ch in children[r]:
+                subtree[r] |= subtree[ch]
         # A node's row is its parent's, except over its own subtree, where the
         # node itself is the lowest common ancestor.
         lca_birth = np.full((n, n), np.nan)
@@ -138,8 +141,8 @@ class ClusterTree:
         ids_arr = np.array(ids)
         alive = [tuple(ids_arr[(births <= b) & (b < deaths)].tolist()) for b in breaks]
         leaf_rows = np.array([row[nid] for nid in self.leaves()], dtype=int)
-        return _Tables(ids, row, parent, topdown, subtree, leaf_rows, subtree[:, leaf_rows],
-                       lca_birth, breaks, alive)
+        return _Tables(ids, row, parent, children, topdown, subtree, leaf_rows,
+                       subtree[:, leaf_rows], lca_birth, breaks, alive)
 
     def row(self, node_id: int) -> int:
         """Row of a node in `membership` and `lca_birth` (rows follow ascending ids)."""
@@ -177,6 +180,10 @@ class ClusterTree:
 
     def partition(self, node_ids) -> Partition:
         """The given nodes as a Partition; raises unless they cover every leaf once."""
+        # Alive sets come as sorted tuples, which are their own keys.
+        cached = self._partitions.get(node_ids) if isinstance(node_ids, tuple) else None
+        if cached is not None:
+            return cached
         key = tuple(sorted({int(c) for c in node_ids}))
         cached = self._partitions.get(key)
         if cached is not None:
@@ -191,15 +198,13 @@ class ClusterTree:
         own[rows] = True
         below = t.subtree[rows].any(axis=0) & ~own
         above = t.subtree[:, rows].any(axis=1) & ~own
-        ids, parent = t.ids, t.parent
         below_l, above_l = below.tolist(), above.tolist()
-        down = tuple((ids[r], ids[parent[r]], len(self.nodes[ids[parent[r]]].children))
+        down = tuple((r, t.parent[r], len(t.children[t.parent[r]]))
                      for r in t.topdown if below_l[r])
-        up = tuple((ids[r], self.nodes[ids[r]].children)
-                   for r in reversed(t.topdown) if above_l[r])
+        up = tuple((r, t.children[r]) for r in reversed(t.topdown) if above_l[r])
         leaf_below = below[t.leaf_rows]
-        leaves_below = tuple((int(j), ids[t.leaf_rows[j]]) for j in np.flatnonzero(leaf_below))
-        part = Partition(key, rows, leaf_class, leaf_below, leaves_below, down, up)
+        cols = np.flatnonzero(leaf_below)
+        part = Partition(key, rows, leaf_class, leaf_below, (cols, t.leaf_rows[cols]), down, up)
         self._partitions[key] = part
         return part
 

@@ -23,6 +23,11 @@ from .stack import CoarseObservation, FineObservation
 N_COARSE_SAMPLES = 10
 
 
+def check_psi(psi: float) -> None:
+    if not (0.0 <= psi < math.inf):
+        raise InvalidInputError(f"psi must be finite and >= 0, got {psi!r}")
+
+
 @dataclass
 class ObsConfig:
     psi: float
@@ -32,8 +37,7 @@ class ObsConfig:
     mode: str = "mixed"  # "mixed" | "lead_in"
 
     def __post_init__(self):
-        if not (0.0 <= self.psi < math.inf):
-            raise InvalidInputError(f"psi must be finite and >= 0, got {self.psi!r}")
+        check_psi(self.psi)
         if not (0.0 <= self.coarse_prob <= 1.0):
             raise InvalidInputError("coarse_prob must be in [0, 1]")
         if not (0.0 <= self.lead_in_fraction <= 1.0):
@@ -51,8 +55,7 @@ def bbox_diagonal(trajectories) -> float:
 
 def gen_fine(z, psi: float, scale: float, rng: np.random.Generator) -> FineObservation:
     """Noisy position observation: truth plus uniform offsets on [0, psi*scale]."""
-    if psi < 0:
-        raise InvalidInputError("psi must be >= 0")
+    check_psi(psi)
     z = np.asarray(z, dtype=float)
     return FineObservation(z + rng.uniform(0.0, psi * scale, size=z.shape))
 

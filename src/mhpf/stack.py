@@ -83,31 +83,32 @@ def group_sums(values: np.ndarray, order: np.ndarray, bounds: np.ndarray) -> lis
             for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
 
 
-def class_masses(labels: np.ndarray, weights: np.ndarray, class_ids) -> dict[int, float]:
+def class_masses(weights: np.ndarray, groups, class_ids: np.ndarray) -> dict[int, float]:
     """Normalized per-class weight sums over one particle set.
 
-    Every label must be one of `class_ids`. Each class sums as one slice in
-    particle order, and the total in sorted class order, so independent
-    filters sharing a particle set derive bit-identical masses.
+    `groups` is group_slices over positions in the ascending `class_ids`.
+    Each class sums as one slice in particle order, and the total in class
+    order, so independent filters sharing a particle set derive bit-identical
+    masses.
     """
-    ordered = np.sort(np.asarray(class_ids, dtype=int))
-    sums = group_sums(weights, *group_slices(np.searchsorted(ordered, labels), len(ordered)))
+    sums = group_sums(weights, *groups)
     total = sum(sums)
     if total <= 0:
         raise InvalidInputError("all-zero weights: cannot derive class masses")
-    return {c: s / total for c, s in zip(ordered.tolist(), sums)}
+    return {c: s / total for c, s in zip(class_ids.tolist(), sums)}
 
 
-def advance_particles(positions: np.ndarray, labels: np.ndarray, class_ids: np.ndarray,
-                      dynamics, seed, t: int) -> int:
+def advance_particles(positions: np.ndarray, class_ids: np.ndarray, groups, dynamics,
+                      seed, t: int) -> int:
     """Move every particle by its class's dynamics, in place.
 
-    `class_ids` are the possible labels in ascending order. Only populated
-    classes run, in that order, each on its particles in index order with the
+    `class_ids` are the possible labels in ascending order and `groups` the
+    particles' group_slices over them. Only populated classes run, in that
+    order, each on its particles in index order with the
     (PHASE_PREDICT, t, class) stream. Returns how many advances fell back to
     extrapolation.
     """
-    order, bounds = group_slices(np.searchsorted(class_ids, labels), len(class_ids))
+    order, bounds = groups
     extrapolated = 0
     for nid, a, b in zip(class_ids.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
         if a == b:
@@ -139,6 +140,33 @@ def split_counts(n: int, depletion: float) -> tuple[int, int]:
     """(weight-resampled, randomized) particle counts for one resampling."""
     n_random = int(round(n * depletion))
     return n - n_random, n_random
+
+
+def resample_particles(positions: np.ndarray, labels: np.ndarray, weights: np.ndarray,
+                       class_ids: np.ndarray, depletion: float, rng_keep, rng_deplete):
+    """Multinomial resampling plus depletion guard, for one particle set.
+
+    round(N * v) particles keep their (uniformly chosen) positions but receive
+    a uniformly random class from `class_ids`; the rest are drawn by weight,
+    by inverse CDF. The draws equal `Generator.choice` (with and without `p`)
+    bit for bit. Weights that are negative or not finite raise
+    InvalidInputError; all-zero weights resample uniformly. Returns the new
+    (positions, labels) and whether the weights were reset to uniform.
+    """
+    n = len(weights)
+    s = weights.sum()
+    if not np.isfinite(s):
+        raise InvalidInputError(f"particle weights have a non-finite total ({s})")
+    if weights.min() < 0.0:
+        raise InvalidInputError(f"particle weights must be >= 0, got {weights.min()}")
+    reset = s <= 0.0
+    cdf = np.cumsum(np.full(n, 1.0 / n) if reset else weights / s)
+    cdf /= cdf[-1]
+    n_keep, n_random = split_counts(n, depletion)
+    keep = cdf.searchsorted(rng_keep.random(n_keep), side="right")
+    take = np.concatenate([keep, rng_deplete.integers(0, n, n_random)])
+    fresh = class_ids[rng_deplete.integers(0, len(class_ids), n_random)]
+    return positions[take], np.concatenate([labels[keep], fresh]), reset
 
 
 def check_particles(n_particles: int, depletion: float) -> None:
@@ -185,7 +213,13 @@ def check_observations(observations, dim: int, tree=None) -> tuple:
 
 
 class FilterStack:
-    """Single-writer filter state machine over a cluster tree."""
+    """Single-writer filter state machine over a cluster tree.
+
+    Class probabilities are float arrays over the tree's rows
+    (`ClusterTree.row`, ascending ids): the current ones and the snapshot
+    taken before the step's observations. `class_probs` and `prev_probs`
+    read them as {id: p}.
+    """
 
     def __init__(self, tree, dynamics, class_prior: dict, position_sampler,
                  n_particles: int, depletion: float, seed):
@@ -202,6 +236,7 @@ class FilterStack:
         self.seed = as_seed_sequence(seed)
         self._t = 0
         self._leaf_ids = np.asarray(leaf_ids, dtype=int)
+        self._node_ids = sorted(tree.nodes)
         self.diagnostics = {"uniform_resets": 0, "extrapolated": 0}
 
         probs = np.array([class_prior.get(c, 0.0) for c in leaf_ids], dtype=float)
@@ -217,10 +252,9 @@ class FilterStack:
         self.leaf_weights = np.full(self.n_particles, 1.0 / self.n_particles)
 
         self._leaf_partition = tree.partition(leaf_ids)
-        self.class_probs: dict[int, float] = {}
-        self.prev_probs: dict[int, float] = {}
-        self.rebuild_tree(self._leaf_partition, self.leaf_weights)
-        self.prev_probs = self.class_probs
+        self._prev = np.zeros(len(self._node_ids))
+        self.rebuild_tree(self._leaf_partition, self.leaf_weights, *self._leaf_groups)
+        self._prev = self._probs
 
     # -- level bookkeeping ---------------------------------------------------
 
@@ -228,14 +262,28 @@ class FilterStack:
     def t(self) -> int:
         return self._t
 
-    def _leaf_columns(self) -> np.ndarray:
-        """Each particle's leaf class as a column of the tree's leaf tables."""
-        return np.searchsorted(self._leaf_ids, self.leaf_labels)
+    @property
+    def leaf_labels(self) -> np.ndarray:
+        return self._labels
 
-    def _groups(self, part, cols: np.ndarray):
-        """Per-particle class position in a partition, plus its group_slices."""
-        cls = part.leaf_class[cols]
-        return (cls, *group_slices(cls, len(part.ids)))
+    @leaf_labels.setter
+    def leaf_labels(self, labels: np.ndarray) -> None:
+        """Set the labels and regroup the particles by leaf, once per label change."""
+        self._labels = labels
+        self._cols = np.searchsorted(self._leaf_ids, labels)
+        self._leaf_groups = group_slices(self._cols, len(self._leaf_ids))
+
+    @property
+    def class_probs(self) -> dict[int, float]:
+        return dict(zip(self._node_ids, self._probs.tolist()))
+
+    @property
+    def prev_probs(self) -> dict[int, float]:
+        return dict(zip(self._node_ids, self._prev.tolist()))
+
+    @prev_probs.setter
+    def prev_probs(self, probs: dict) -> None:
+        self._prev = np.array([probs.get(c, 0.0) for c in self._node_ids], dtype=float)
 
     # -- tree probability rebuild ----------------------------------------------
 
@@ -244,37 +292,47 @@ class FilterStack:
 
         A class of the partition `part` gets the sum of `weights` over the
         particles under it (grouped by `order` and `bounds` when the caller
-        has them); descendants scale proportionally against the pre-update
-        snapshot (an exhausted parent spreads its new mass uniformly over its
-        children); ancestors sum.
+        has them, else from the current labels); descendants scale
+        proportionally against the pre-update snapshot (an exhausted parent
+        spreads its new mass uniformly over its children); ancestors sum.
         """
         if order is None:
-            _, order, bounds = self._groups(part, self._leaf_columns())
+            cls = part.leaf_class[np.searchsorted(self._leaf_ids, self.leaf_labels)]
+            order, bounds = group_slices(cls, len(part.ids))
         sums = group_sums(weights, order, bounds)
         total = sum(sums)
         if not np.isfinite(total):
             raise InvalidInputError(f"updated level has a non-finite total weight ({total})")
         if total <= 0:
             raise InvalidInputError("updated level has zero total weight")
-        prev = self.prev_probs
-        out = {c: s / total for c, s in zip(part.ids, sums)}
-        for nid, parent, n_children in part.down:
-            value = out[parent]
-            prev_parent = prev.get(parent, 0.0)
-            if prev_parent > 0.0:
-                out[nid] = prev.get(nid, 0.0) * value / prev_parent
+        # The walks run on Python floats, row by row: the same IEEE operations,
+        # in the same order, as a walk over {id: p}.
+        out = [0.0] * len(self._node_ids)
+        for r, s in zip(part.rows.tolist(), sums):
+            out[r] = s / total
+        if part.down:
+            prev = self._prev.tolist()
+            for r, parent, n_children in part.down:
+                value, prev_parent = out[parent], prev[parent]
+                if prev_parent > 0.0:
+                    out[r] = prev[r] * value / prev_parent
+                else:
+                    out[r] = value / n_children
+        for r, children in part.up:
+            if len(children) == 2:
+                # Equals sum() of the two bit for bit: sum() adds from +0.0,
+                # and class sums (numpy adds from +0.0 too) are never -0.0.
+                out[r] = out[children[0]] + out[children[1]]
             else:
-                out[nid] = value / n_children
-        for nid, children in part.up:
-            out[nid] = sum(map(out.__getitem__, children))
-        self.class_probs = out
+                out[r] = sum([out[c] for c in children])
+        self._probs = np.array(out)
 
     # -- prediction --------------------------------------------------------------
 
     def predict(self) -> None:
         """Advance every particle by its leaf class's dynamics."""
         self.diagnostics["extrapolated"] += advance_particles(
-            self.leaf_positions, self.leaf_labels, self._leaf_ids, self.dynamics, self.seed,
+            self.leaf_positions, self._leaf_ids, self._leaf_groups, self.dynamics, self.seed,
             self._t)
 
     # -- observation updates ---------------------------------------------------
@@ -300,7 +358,7 @@ class FilterStack:
         else:
             w = w / s
         self.leaf_weights = w
-        self.rebuild_tree(self._leaf_partition, w)
+        self.rebuild_tree(self._leaf_partition, w, *self._leaf_groups)
 
     def _update_coarse(self, class_id: int, level_value: float) -> None:
         part = self.tree.partition(self.tree.alive_ids(level_value))
@@ -309,8 +367,8 @@ class FilterStack:
             values = np.full(len(part.ids), 1.0 / self.n_particles)
             self.diagnostics["uniform_resets"] += 1
         # Every particle takes the value of its class in the level.
-        cols = self._leaf_columns()
-        cls, order, bounds = self._groups(part, cols)
+        cls = part.leaf_class[self._cols]
+        order, bounds = group_slices(cls, len(part.ids))
         w = values[cls]
         level_total = sum(group_sums(w, order, bounds))
         if level_total <= 0.0:
@@ -324,9 +382,9 @@ class FilterStack:
         self.rebuild_tree(part, w, order, bounds)
         # Leaf classes in the level take these weights; the rest keep theirs,
         # rescaled by their class's probability ratio.
-        in_level = ~part.leaf_below[cols]
+        in_level = ~part.leaf_below[self._cols]
         self.leaf_weights[in_level] = w[in_level]
-        self._scale_outside(part, cols)
+        self._scale_outside(part)
         s = self.leaf_weights.sum()
         if s <= 0.0:
             self.leaf_weights = np.full(self.n_particles, 1.0 / self.n_particles)
@@ -334,54 +392,48 @@ class FilterStack:
         else:
             self.leaf_weights = self.leaf_weights / s
 
-    def _scale_outside(self, part, cols: np.ndarray) -> None:
+    def _scale_outside(self, part) -> None:
         """w *= P_t(c)/P_prev(c) for every particle of a leaf class below the partition."""
+        cols, rows = part.leaves_below
+        prev = self._prev[rows]
+        live = prev > 0.0
         ratio = np.ones(len(self._leaf_ids))
-        for col, c in part.leaves_below:
-            prev = self.prev_probs.get(c, 0.0)
-            if prev > 0.0:
-                ratio[col] = self.class_probs[c] / prev
+        ratio[cols[live]] = self._probs[rows[live]] / prev[live]
         if not np.all(ratio == 1.0):
-            self.leaf_weights = self.leaf_weights * ratio[cols]
+            self.leaf_weights = self.leaf_weights * ratio[self._cols]
 
     # -- resampling -------------------------------------------------------------
 
     def resample(self) -> None:
-        """Multinomial resampling plus depletion guard.
-
-        round(N * v) particles keep their (uniformly chosen) positions but
-        receive a uniformly random leaf class; the rest are drawn by weight.
-        """
-        n = self.n_particles
-        w = self.leaf_weights
-        s = w.sum()
-        if not np.isfinite(s):
-            raise InvalidInputError(f"particle weights have a non-finite total ({s})")
-        if s <= 0.0:
-            w = np.full(n, 1.0 / n)
-            self.diagnostics["uniform_resets"] += 1
-        else:
-            w = w / s
-        n_keep, n_random = split_counts(n, self.depletion)
-        rng_r = substream(self.seed, PHASE_RESAMPLE, self._t)
-        idx = rng_r.choice(n, size=n_keep, p=w)
-        rng_d = substream(self.seed, PHASE_DEPLETE, self._t)
-        src = rng_d.choice(n, size=n_random)
-        fresh = rng_d.choice(self._leaf_ids, size=n_random)
-        self.leaf_positions = np.vstack([self.leaf_positions[idx], self.leaf_positions[src]])
-        self.leaf_labels = np.concatenate([self.leaf_labels[idx], fresh])
-        self.leaf_weights = np.full(n, 1.0 / n)
-        self.rebuild_tree(self._leaf_partition, self.leaf_weights)
+        """Resample the particles (`resample_particles`) and rebuild from the leaves."""
+        self.leaf_positions, self.leaf_labels, reset = resample_particles(
+            self.leaf_positions, self.leaf_labels, self.leaf_weights, self._leaf_ids,
+            self.depletion, substream(self.seed, PHASE_RESAMPLE, self._t),
+            substream(self.seed, PHASE_DEPLETE, self._t))
+        self.diagnostics["uniform_resets"] += reset
+        self.leaf_weights = np.full(self.n_particles, 1.0 / self.n_particles)
+        self.rebuild_tree(self._leaf_partition, self.leaf_weights, *self._leaf_groups)
 
     # -- queries -----------------------------------------------------------------
 
-    def map_class(self, b: float) -> int:
-        """Highest-probability alive class at level b (ties: birth, then id)."""
+    def _alive_probs(self, b: float):
+        """The classes alive at level b and their probabilities."""
         alive = self.tree.alive_ids(b)
         if not alive:
             raise InvalidInputError(f"no class is alive at level {b!r}")
-        probs, nodes = self.class_probs, self.tree.nodes
-        return min(alive, key=lambda c: (-probs.get(c, 0.0), nodes[c].birth, c))
+        return alive, self._probs[self.tree.partition(alive).rows]
+
+    def map_class(self, b: float) -> int:
+        """Highest-probability alive class at level b (ties: birth, then id)."""
+        alive, probs = self._alive_probs(b)
+        return self._most_probable(alive, probs)
+
+    def _most_probable(self, alive, probs: np.ndarray) -> int:
+        top = np.flatnonzero(probs == probs.max()).tolist()
+        if len(top) == 1:
+            return alive[top[0]]
+        nodes = self.tree.nodes
+        return min((alive[i] for i in top), key=lambda c: (nodes[c].birth, c))
 
     def point_estimate(self) -> np.ndarray:
         """Weight-averaged particle position."""
@@ -391,18 +443,17 @@ class FilterStack:
         if levels is None:
             levels = self.tree.unique_births()
         levels = [float(b) for b in levels]
-        per_level = []
+        per_level, maps = [], []
         for b in levels:
-            per_level.append({
-                "b": b,
-                "classes": [{"id": int(c), "prob": float(self.class_probs.get(c, 0.0))}
-                            for c in self.tree.alive_ids(b)],
-            })
+            alive, probs = self._alive_probs(b)
+            per_level.append({"b": b, "classes": [{"id": int(c), "prob": p}
+                                                  for c, p in zip(alive, probs.tolist())]})
+            maps.append({"b": b, "class_id": int(self._most_probable(alive, probs))})
         return {
             "t": self._t,
             "levels": per_level,
             "point_estimate": [float(x) for x in self.point_estimate()],
-            "map_class": [{"b": b, "class_id": int(self.map_class(b))} for b in levels],
+            "map_class": maps,
         }
 
     # -- main loop ----------------------------------------------------------------
@@ -421,8 +472,8 @@ class FilterStack:
         if snapshot_levels is not None:
             check_levels(snapshot_levels)
         self._t += 1
-        # The rebuilds replace class_probs with a new dict, so this is a snapshot.
-        self.prev_probs = self.class_probs
+        # The rebuilds replace the probability array, so this is a snapshot.
+        self._prev = self._probs
         self.predict()
         for obs in observations:
             self._apply(obs)
@@ -438,7 +489,7 @@ def check_consistency(stack: FilterStack) -> None:
     to within CONSISTENCY_ATOL.
     """
     tree = stack.tree
-    cols = stack._leaf_columns()
+    cols = np.searchsorted(tree.leaves(), stack.leaf_labels)
     root_birth = tree.root_birth
     if root_birth > 0:
         levels = np.linspace(0.0, root_birth, CONSISTENCY_LEVELS)

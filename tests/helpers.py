@@ -100,3 +100,42 @@ def walk_lca(tree, a: int, b: int) -> int:
 def brute_alive(tree, b: float) -> set:
     """Nodes with birth <= b < death, by scanning every node."""
     return {n for n, node in tree.nodes.items() if node.birth <= b < node.death}
+
+
+def reference_rebuild(tree, class_ids, leaf_labels, weights, prev) -> dict:
+    """Class probabilities {id: p} rebuilt from one level's weights by dict walks.
+
+    The walk `FilterStack.rebuild_tree` ran over {id: p} before it held
+    probabilities on tree rows: each class gets its particles' weights summed
+    in particle order, over the total summed in ascending class order; nodes
+    below a class scale by their share of `prev` (an exhausted parent splits
+    evenly); nodes above sum their children with the builtin `sum`.
+    """
+    def leaves_under(nid):
+        node = tree.nodes[nid]
+        return [nid] if node.is_leaf else [x for ch in node.children for x in leaves_under(ch)]
+
+    ids = sorted(class_ids)
+    sums = [float(weights[np.isin(leaf_labels, leaves_under(c))].sum()) for c in ids]
+    total = sum(sums)
+    out = {c: s / total for c, s in zip(ids, sums)}
+
+    def push_down(nid):
+        children = tree.nodes[nid].children
+        for ch in children:
+            prev_parent = prev.get(nid, 0.0)
+            if prev_parent > 0.0:
+                out[ch] = prev.get(ch, 0.0) * out[nid] / prev_parent
+            else:
+                out[ch] = out[nid] / len(children)
+            push_down(ch)
+
+    def pull_up(nid):
+        if nid not in out:
+            out[nid] = sum(pull_up(ch) for ch in tree.nodes[nid].children)
+        return out[nid]
+
+    for c in ids:
+        push_down(c)
+    pull_up(tree.root)
+    return out

@@ -14,8 +14,9 @@ import pytest
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 HOOKED = ["geometry.distance_matrix_s", "geometry.cells_per_s", "dynamics.build_s",
-          "dynamics.samples_total", "filtration.single_linkage_s", "obsgen.plan_s",
-          "seeding.substream_calls", "evaluation.mhpf_trial_s"]
+          "dynamics.samples_total", "dynamics.step_batch_calls", "dynamics.pair_evals",
+          "filtration.single_linkage_s", "obsgen.plan_s", "seeding.substream_calls",
+          "stack.self_s", "evaluation.mhpf_trial_s"]
 SWEEP_HOOKED = ["evaluation.bl1_trial_s", "evaluation.bl2_trial_s", "evaluation.summarize_s"]
 
 

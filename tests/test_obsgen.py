@@ -22,6 +22,12 @@ def test_fine_zero_noise_exact():
     assert np.array_equal(obs.position, [1.0, 2.0])
 
 
+@pytest.mark.parametrize("psi", [-0.1, float("nan"), float("inf")])
+def test_fine_rejects_negative_or_non_finite_psi(psi):
+    with pytest.raises(InvalidInputError, match="psi must be finite and >= 0"):
+        gen_fine(np.zeros(2), psi, 1.0, np.random.default_rng(1))
+
+
 def test_fine_offsets_one_sided():
     rng = np.random.default_rng(2)
     z = np.array([0.0, 0.0])

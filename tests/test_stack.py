@@ -16,6 +16,8 @@ from mhpf.stack import (CoarseObservation, FilterStack, FineObservation,
                         bounded_log_weights, check_consistency, split_counts,
                         start_point_sampler)
 
+from helpers import reference_rebuild
+
 N = 100
 
 
@@ -634,6 +636,35 @@ def test_resample_rejects_non_finite_weights(hand_stack, bad):
     assert after[4:] == before[4:]
 
 
+def flat_filter_state(pf):
+    return (pf.t, pf.labels.copy(), pf.positions.copy(), pf.weights.copy())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-3])
+@pytest.mark.parametrize("kind", ["stack", "bl1"])
+def test_resample_rejects_negative_or_non_finite_weights(hand_stack, hand_tree, kind, bad):
+    if kind == "stack":
+        target, weights, state, resample = (hand_stack, "leaf_weights", stack_state,
+                                            hand_stack.resample)
+    else:
+        trajs = hand_trajectories()
+        leaves = hand_tree.leaves()
+        dyn = build_dynamics(hand_tree, trajs, kappa=0.5, epsilon_floor=0.5)
+        target = LeafParticleFilter(leaves, {c: dyn[c] for c in leaves},
+                                    {c: 1.0 for c in leaves},
+                                    start_point_sampler(hand_tree, trajs), N, 0.01, 31)
+        weights, state, resample = "weights", flat_filter_state, target._resample
+    w = np.full(N, 1.0 / N)
+    w[3] = bad
+    setattr(target, weights, w)
+    before = state(target)
+    with pytest.raises(InvalidInputError, match="non-finite" if np.isnan(bad) or np.isinf(bad)
+                       else "must be >= 0"):
+        resample()
+    for a, b in zip(state(target), before):
+        np.testing.assert_array_equal(a, b)
+
+
 # sha256 of the all-level snapshots below, recorded before the class-mass
 # bookkeeping moved onto the tree's cached tables: any change to a
 # probability, a MAP class, a point estimate or a coarse draw shows here.
@@ -710,3 +741,71 @@ def test_ternary_tree_run_snapshots_match_golden():
         digest.update(json.dumps(stack.step(obs), sort_keys=True).encode() + b"\n")
         check_consistency(stack)
     assert digest.hexdigest() == GOLDEN_TERNARY_RUN_SHA256
+
+
+def assert_rebuild_matches_reference(stack, part, weights):
+    """The row-array rebuild gives the dict walk's probabilities, bit for bit."""
+    prev = stack.prev_probs
+    stack.rebuild_tree(part, weights)
+    expected = reference_rebuild(stack.tree, part.ids, stack.leaf_labels, weights, prev)
+    got = stack.class_probs
+    assert got.keys() == expected.keys()
+    ids = sorted(got)
+    assert (np.array([got[c] for c in ids]).tobytes()
+            == np.array([expected[c] for c in ids]).tobytes())
+    assert stack.prev_probs == prev
+
+
+def rebuild_every_level_against_reference(stack, rng):
+    """Random prior-step masses, particles moved to random leaves, then every level."""
+    tree, n = stack.tree, stack.n_particles
+
+    def random_weights():
+        w = rng.random(n)
+        w[rng.random(n) < 0.3] = 0.0
+        w[int(rng.integers(n))] = 1.0
+        return w
+
+    stack.rebuild_tree(tree.partition(tree.leaves()), random_weights())
+    stack.prev_probs = stack.class_probs
+    stack.leaf_labels = rng.choice(tree.leaves(), size=n)
+    for b in tree.unique_births():
+        assert_rebuild_matches_reference(stack, tree.partition(tree.alive_ids(b)),
+                                         random_weights())
+
+
+def test_rebuild_matches_reference_on_random_trees():
+    rng = np.random.default_rng(405)
+    for trial in range(16):
+        corpus = random_corpus(rng, lattice=trial % 2 == 1)
+        tree = single_linkage(distance_matrix(corpus), member_ids=[t.id for t in corpus])
+        dyn = build_dynamics(tree, corpus, kappa=0.3, epsilon_floor=2 * mean_spacing(corpus))
+        leaves = tree.leaves()
+        # Leaves outside the prior start with no mass: their parents can be exhausted.
+        prior = {c: 1.0 for c in rng.choice(leaves, size=int(rng.integers(1, len(leaves) + 1)),
+                                              replace=False).tolist()}
+        stack = FilterStack(tree, dyn, prior, start_point_sampler(tree, corpus),
+                            int(rng.integers(5, 60)), 0.0, seed=trial)
+        rebuild_every_level_against_reference(stack, rng)
+
+
+def test_rebuild_matches_reference_on_ternary_tree():
+    tree = ternary_tree()
+    steps = np.arange(10)
+    corpus = [Trajectory(str(i), np.column_stack([steps / 3.0, 1.5 * i + np.sin(steps)]))
+              for i in range(6)]
+    dyn = build_dynamics(tree, corpus, kappa=0.3, epsilon_floor=2 * mean_spacing(corpus))
+    rng = np.random.default_rng(406)
+    for prior in ({3: 1.0, 4: 1.0, 5: 1.0}, {c: 1.0 for c in range(6)}):
+        stack = FilterStack(tree, dyn, prior, start_point_sampler(tree, corpus), 60, 0.0,
+                            seed=7)
+        rebuild_every_level_against_reference(stack, rng)
+
+
+def test_rebuild_matches_reference_through_an_exhausted_parent(hand_stack):
+    stack = hand_stack
+    force_counts(stack, {0: 0, 1: 0, 2: N})
+    stack.leaf_labels[:N // 2] = 0
+    w = np.linspace(0.0, 1.0, N)
+    for level in ({3, 2}, {4}, stack.tree.leaves()):
+        assert_rebuild_matches_reference(stack, stack.tree.partition(level), w)
