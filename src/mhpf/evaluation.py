@@ -3,10 +3,11 @@
 Two reference filters bracket the hierarchy: BL1 is a flat bootstrap filter
 over the single-trajectory leaf classes and BL2 the same filter over one
 pooled class following the combined-corpus dynamics. Both ignore coarse
-observations. Because every stochastic phase draws from a keyed substream,
-BL1 reproduces the hierarchical filter's bottom level bit-for-bit (and BL2 a
-one-class tree) under a shared seed, which the test suite exploits as an
-oracle for the stack's bookkeeping.
+observations. Each step draws its prediction noise and its resampling from
+one (PHASE_PREDICT, t) stream in the same order as the hierarchical stack, so
+under a shared seed BL1 reproduces the stack's bottom level bit-for-bit (and
+BL2 a one-class tree), which the test suite exploits as an oracle for the
+stack's bookkeeping.
 
 The harness sweeps noise cells over scenarios x repeats, records per-step
 squared error and tree-class distance of the MAP prediction against the
@@ -31,9 +32,8 @@ from .errors import InvalidInputError
 from .filtration import single_class_tree, single_linkage
 from .geometry import Trajectory, distance_matrix, load_trajectories
 from .obsgen import ClassPointIndex, ObsConfig, bbox_diagonal, default_coarse_level, observation_plan
-from .seeding import (PHASE_DATA, PHASE_DEPLETE, PHASE_INIT, PHASE_OBSERVE,
-                      PHASE_RESAMPLE, PHASE_SCENARIO, as_seed_sequence, child_seed,
-                      substream)
+from .seeding import (PHASE_DATA, PHASE_INIT, PHASE_OBSERVE, PHASE_PREDICT,
+                      PHASE_SCENARIO, as_seed_sequence, child_seed, substream)
 from .stack import (FilterStack, FineObservation, advance_particles, bounded_log_weights,
                     check_levels, check_observations, check_particles, class_masses,
                     group_slices, resample_particles, start_point_sampler, weighted_mean)
@@ -134,8 +134,8 @@ class LeafParticleFilter:
     def step(self, observations=()) -> dict:
         observations = check_observations(observations, self.positions.shape[1])
         self._t += 1
-        advance_particles(self.positions, self._class_ids, self._groups, self.dynamics, self.seed,
-                          self._t)
+        rng = substream(self.seed, PHASE_PREDICT, self._t)
+        advance_particles(self.positions, self._class_ids, self._groups, self.dynamics, rng)
         for obs in observations:
             if isinstance(obs, FineObservation):
                 xi = np.asarray(obs.position, dtype=float)
@@ -150,14 +150,12 @@ class LeafParticleFilter:
             # Coarse observations carry class-level evidence this filter has no
             # hierarchy to interpret; they are ignored.
         snap = self.snapshot()
-        self._resample()
+        self._resample(rng)
         return snap
 
-    def _resample(self) -> None:
+    def _resample(self, rng: np.random.Generator) -> None:
         self.positions, self.labels, _ = resample_particles(
-            self.positions, self.labels, self.weights, self._class_ids, self.depletion,
-            substream(self.seed, PHASE_RESAMPLE, self._t),
-            substream(self.seed, PHASE_DEPLETE, self._t))
+            self.positions, self.labels, self.weights, self._class_ids, self.depletion, rng)
         self.weights = np.full(self.n_particles, 1.0 / self.n_particles)
 
 

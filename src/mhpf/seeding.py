@@ -1,10 +1,15 @@
 """Keyed random substreams.
 
 Every stochastic component draws from a generator keyed by an explicit path
-(phase, step, component id) under one root seed. Components therefore consume
-independent streams regardless of evaluation order or how many other
-components exist, which is what makes runs reproducible across worker counts
-and lets structurally different filters share the exact same noise.
+under one root seed: a filter's initial particles by (PHASE_INIT), each of
+its steps by (PHASE_PREDICT, t), a trial's observations by (PHASE_OBSERVE,
+scenario, repeat), the held-out truths by (PHASE_SCENARIO) and a generated
+corpus by (PHASE_DATA). Streams therefore do not depend on evaluation order
+or on how many other components exist, which is what makes runs reproducible
+across worker counts. Within one filter step the draws come in a fixed order
+(the dynamics noise of each populated class in ascending class order, then
+the resampling draws), so filters that share a particle set also share their
+noise.
 """
 
 from __future__ import annotations
@@ -12,10 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 # Phase tags used as the first path component after any run-level prefix.
+# Numbers 3 and 4 keyed the resampling streams before a step drew from one.
 PHASE_INIT = 1
 PHASE_PREDICT = 2
-PHASE_RESAMPLE = 3
-PHASE_DEPLETE = 4
 PHASE_OBSERVE = 5
 PHASE_SCENARIO = 6
 PHASE_DATA = 7

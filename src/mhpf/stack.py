@@ -3,10 +3,11 @@
 One set of N weighted (leaf class, position) particles carries the estimate.
 A node of the tree holds the particles whose leaf class lies under it, so
 every level of the tree partitions the same N particles. Class probabilities
-live on the whole tree and are kept consistent (children sum to their parent)
-by rebuilding from whichever level an observation updated: masses are
-recomputed from that level's particle weights, pushed down by proportional
-scaling against the pre-observation snapshot, and pushed up by summation.
+live on the whole tree, as an array over the tree's rows, and are kept
+consistent (children sum to their parent) by rebuilding from whichever level
+an observation updated: masses are recomputed from that level's particle
+weights, pushed down by proportional scaling against the pre-observation
+snapshot, and pushed up by summation.
 
 Fine observations reweight the particles by distance to the observed
 position. Coarse observations name a class at some level; every particle
@@ -14,6 +15,9 @@ under a class alive there receives the same weight from the tree-class
 distance to the observed class. Particles of a leaf class alive at that level
 keep that weight; the others keep their own, rescaled by their leaf class's
 probability ratio.
+
+Step t draws from one random stream, (PHASE_PREDICT, t): the dynamics noise
+of each populated leaf class in ascending class order, then the resampling.
 """
 
 from __future__ import annotations
@@ -23,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .seeding import (PHASE_DEPLETE, PHASE_INIT, PHASE_PREDICT, PHASE_RESAMPLE,
-                      as_seed_sequence, substream)
+from .seeding import PHASE_INIT, PHASE_PREDICT, as_seed_sequence, substream
 
 WEIGHT_EPS = 1e-9
 # check_consistency: levels checked per tree, and the tolerance of its sums.
@@ -99,14 +102,13 @@ def class_masses(weights: np.ndarray, groups, class_ids: np.ndarray) -> dict[int
 
 
 def advance_particles(positions: np.ndarray, class_ids: np.ndarray, groups, dynamics,
-                      seed, t: int) -> int:
+                      rng: np.random.Generator) -> int:
     """Move every particle by its class's dynamics, in place.
 
     `class_ids` are the possible labels in ascending order and `groups` the
     particles' group_slices over them. Only populated classes run, in that
-    order, each on its particles in index order with the
-    (PHASE_PREDICT, t, class) stream. Returns how many advances fell back to
-    extrapolation.
+    order, each on its particles in index order, drawing from `rng`. Returns
+    how many advances fell back to extrapolation.
     """
     order, bounds = groups
     extrapolated = 0
@@ -114,7 +116,6 @@ def advance_particles(positions: np.ndarray, class_ids: np.ndarray, groups, dyna
         if a == b:
             continue
         idx = order[a:b]
-        rng = substream(seed, PHASE_PREDICT, t, nid)
         new, flags = dynamics[nid].step_batch(positions[idx], rng)
         positions[idx] = new
         extrapolated += int(flags.sum())
@@ -143,13 +144,14 @@ def split_counts(n: int, depletion: float) -> tuple[int, int]:
 
 
 def resample_particles(positions: np.ndarray, labels: np.ndarray, weights: np.ndarray,
-                       class_ids: np.ndarray, depletion: float, rng_keep, rng_deplete):
+                       class_ids: np.ndarray, depletion: float, rng: np.random.Generator):
     """Multinomial resampling plus depletion guard, for one particle set.
 
     round(N * v) particles keep their (uniformly chosen) positions but receive
     a uniformly random class from `class_ids`; the rest are drawn by weight,
-    by inverse CDF. The draws equal `Generator.choice` (with and without `p`)
-    bit for bit. Weights that are negative or not finite raise
+    by inverse CDF. `rng` draws the kept particles, then the randomized
+    particles' sources, then their classes; each draw equals the matching
+    `Generator.choice` call (with or without `p`) bit for bit. Weights that are negative or not finite raise
     InvalidInputError; all-zero weights resample uniformly. Returns the new
     (positions, labels) and whether the weights were reset to uniform.
     """
@@ -163,9 +165,9 @@ def resample_particles(positions: np.ndarray, labels: np.ndarray, weights: np.nd
     cdf = np.cumsum(np.full(n, 1.0 / n) if reset else weights / s)
     cdf /= cdf[-1]
     n_keep, n_random = split_counts(n, depletion)
-    keep = cdf.searchsorted(rng_keep.random(n_keep), side="right")
-    take = np.concatenate([keep, rng_deplete.integers(0, n, n_random)])
-    fresh = class_ids[rng_deplete.integers(0, len(class_ids), n_random)]
+    keep = cdf.searchsorted(rng.random(n_keep), side="right")
+    take = np.concatenate([keep, rng.integers(0, n, n_random)])
+    fresh = class_ids[rng.integers(0, len(class_ids), n_random)]
     return positions[take], np.concatenate([labels[keep], fresh]), reset
 
 
@@ -218,7 +220,8 @@ class FilterStack:
     Class probabilities are float arrays over the tree's rows
     (`ClusterTree.row`, ascending ids): the current ones and the snapshot
     taken before the step's observations. `class_probs` and `prev_probs`
-    read them as {id: p}.
+    read them as {id: p}. Step t draws its prediction noise and then its
+    resampling from one stream, (PHASE_PREDICT, t).
     """
 
     def __init__(self, tree, dynamics, class_prior: dict, position_sampler,
@@ -235,6 +238,7 @@ class FilterStack:
         self.depletion = float(depletion)
         self.seed = as_seed_sequence(seed)
         self._t = 0
+        self._rng_t = None  # the step whose stream self._rng is
         self._leaf_ids = np.asarray(leaf_ids, dtype=int)
         self._node_ids = sorted(tree.nodes)
         self.diagnostics = {"uniform_resets": 0, "extrapolated": 0}
@@ -261,6 +265,12 @@ class FilterStack:
     @property
     def t(self) -> int:
         return self._t
+
+    def _step_rng(self) -> np.random.Generator:
+        """The (PHASE_PREDICT, t) stream of the current step t, made on first use."""
+        if self._rng_t != self._t:
+            self._rng, self._rng_t = substream(self.seed, PHASE_PREDICT, self._t), self._t
+        return self._rng
 
     @property
     def leaf_labels(self) -> np.ndarray:
@@ -332,8 +342,8 @@ class FilterStack:
     def predict(self) -> None:
         """Advance every particle by its leaf class's dynamics."""
         self.diagnostics["extrapolated"] += advance_particles(
-            self.leaf_positions, self._leaf_ids, self._leaf_groups, self.dynamics, self.seed,
-            self._t)
+            self.leaf_positions, self._leaf_ids, self._leaf_groups, self.dynamics,
+            self._step_rng())
 
     # -- observation updates ---------------------------------------------------
 
@@ -408,8 +418,7 @@ class FilterStack:
         """Resample the particles (`resample_particles`) and rebuild from the leaves."""
         self.leaf_positions, self.leaf_labels, reset = resample_particles(
             self.leaf_positions, self.leaf_labels, self.leaf_weights, self._leaf_ids,
-            self.depletion, substream(self.seed, PHASE_RESAMPLE, self._t),
-            substream(self.seed, PHASE_DEPLETE, self._t))
+            self.depletion, self._step_rng())
         self.diagnostics["uniform_resets"] += reset
         self.leaf_weights = np.full(self.n_particles, 1.0 / self.n_particles)
         self.rebuild_tree(self._leaf_partition, self.leaf_weights, *self._leaf_groups)

@@ -198,12 +198,12 @@ def test_bl2_zero_noise_tracks_corpus_trajectory(fixed_corpus):
 
 
 # sha256 of the BL1 and BL2 rows of one held-out fixed-corpus trial, recorded
-# before the velocity kernel was rewritten to weight its distance block in
-# place. BL2 runs every step through the pooled root's dense block (one batch
+# when each filter step began to draw from one (PHASE_PREDICT, t) stream.
+# BL2 runs every step through the pooled root's dense block (one batch
 # with a coincident start sample, the rest all-regular); BL1's leaf classes
 # mix regular, coincident and off-manifold rows. Any drift in the kernel, in
 # BL1's class masses or in a stream shows here.
-GOLDEN_BASELINE_RUN_SHA256 = "b43b234e95ede00a1b910250c6d48b69cd097868684c63933d5dd6abe25b10e0"
+GOLDEN_BASELINE_RUN_SHA256 = "351cf545e1b2a3398f0b3ebd0da9cae86cb5e9b2d5a4bfcccf9fc91f4ba7345f"
 
 
 def test_baseline_runs_match_golden(fixed_corpus):

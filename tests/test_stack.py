@@ -653,7 +653,10 @@ def test_resample_rejects_negative_or_non_finite_weights(hand_stack, hand_tree, 
         target = LeafParticleFilter(leaves, {c: dyn[c] for c in leaves},
                                     {c: 1.0 for c in leaves},
                                     start_point_sampler(hand_tree, trajs), N, 0.01, 31)
-        weights, state, resample = "weights", flat_filter_state, target._resample
+        weights, state = "weights", flat_filter_state
+
+        def resample():
+            target._resample(np.random.default_rng(0))
     w = np.full(N, 1.0 / N)
     w[3] = bad
     setattr(target, weights, w)
@@ -665,10 +668,45 @@ def test_resample_rejects_negative_or_non_finite_weights(hand_stack, hand_tree, 
         np.testing.assert_array_equal(a, b)
 
 
-# sha256 of the all-level snapshots below, recorded before the class-mass
-# bookkeeping moved onto the tree's cached tables: any change to a
-# probability, a MAP class, a point estimate or a coarse draw shows here.
-GOLDEN_MIXED_RUN_SHA256 = "f17ef179b043f4d28e34393fd42b221512eb4d09268d349e87ffefec6eace7dc"
+def test_one_stream_per_step(monkeypatch, fixed_corpus, fixed_tree):
+    import mhpf.evaluation
+    import mhpf.stack
+
+    calls = {"stack": 0, "evaluation": 0}
+
+    def counting(module):
+        real = getattr(module, "substream")
+
+        def substream(*args):
+            calls[module.__name__.split(".")[-1]] += 1
+            return real(*args)
+        return substream
+
+    for module in (mhpf.stack, mhpf.evaluation):
+        monkeypatch.setattr(module, "substream", counting(module))
+    dyn = build_dynamics(fixed_tree, fixed_corpus, kappa=0.3,
+                         epsilon_floor=2 * mean_spacing(fixed_corpus))
+    leaves = fixed_tree.leaves()
+    prior = {c: 1.0 / len(leaves) for c in leaves}
+    sampler = start_point_sampler(fixed_tree, fixed_corpus)
+    stack = FilterStack(fixed_tree, dyn, prior, sampler, N, 0.05, seed=3)
+    pf = LeafParticleFilter(leaves, {c: dyn[c] for c in leaves}, prior, sampler, N, 0.05, 3)
+    assert calls == {"stack": 1, "evaluation": 1}
+    level = fixed_tree.unique_births()[3]
+    truth = fixed_corpus[2].points
+    for t in range(1, 21):
+        obs = [FineObservation(truth[t]), CoarseObservation(fixed_tree.alive_ids(level)[0], level)]
+        stack.step(obs)
+        pf.step(obs)
+        # Populated classes per step: several, yet one stream each.
+        assert calls == {"stack": 1 + t, "evaluation": 1 + t}
+
+
+# sha256 of the all-level snapshots below, recorded when each filter step
+# began to draw from one (PHASE_PREDICT, t) stream: any change to a
+# probability, a MAP class, a point estimate, a coarse draw or a stream shows
+# here.
+GOLDEN_MIXED_RUN_SHA256 = "04a614c148c7c113995f7ce1a163373c3bfbd5b098f64d827f291df26bbd033f"
 
 
 def test_mixed_run_snapshots_match_golden(fixed_corpus, fixed_tree):
@@ -711,11 +749,11 @@ def ternary_tree():
 
 
 # sha256 of the all-level snapshots of a run on ternary_tree(), recorded
-# before the per-particle views of the stack were removed. The prior leaves
+# when each filter step began to draw from one stream. The prior leaves
 # node 6 empty at the first step, whose coarse observation names a level
 # where node 6 is alive, so the rebuild splits node 6's mass over its three
 # children; every leaf-level rebuild sums node 6 over three children.
-GOLDEN_TERNARY_RUN_SHA256 = "b758179adae3bb2ab2c609585812b5a1ac93b9f957af732b296286dcf9973886"
+GOLDEN_TERNARY_RUN_SHA256 = "050f1940ad81dbcbc5aad6c3d3d55a43d4345454e47b494ef347548c7b3aa410"
 
 
 def test_ternary_tree_run_snapshots_match_golden():
