@@ -17,7 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 # Phase tags used as the first path component after any run-level prefix.
-# Numbers 3 and 4 keyed the resampling streams before a step drew from one.
+# Corpora, plans and runs are keyed on these numbers: keep them, and leave 3
+# and 4 (the retired resampling phases) unused.
 PHASE_INIT = 1
 PHASE_PREDICT = 2
 PHASE_OBSERVE = 5

@@ -151,9 +151,10 @@ def resample_particles(positions: np.ndarray, labels: np.ndarray, weights: np.nd
     a uniformly random class from `class_ids`; the rest are drawn by weight,
     by inverse CDF. `rng` draws the kept particles, then the randomized
     particles' sources, then their classes; each draw equals the matching
-    `Generator.choice` call (with or without `p`) bit for bit. Weights that are negative or not finite raise
-    InvalidInputError; all-zero weights resample uniformly. Returns the new
-    (positions, labels) and whether the weights were reset to uniform.
+    `Generator.choice` call (with or without `p`) bit for bit. Weights that
+    are negative or not finite raise InvalidInputError; all-zero weights
+    resample uniformly. Returns the new (positions, labels) and whether the
+    weights were reset to uniform.
     """
     n = len(weights)
     s = weights.sum()
@@ -435,14 +436,9 @@ class FilterStack:
     def map_class(self, b: float) -> int:
         """Highest-probability alive class at level b (ties: birth, then id)."""
         alive, probs = self._alive_probs(b)
-        return self._most_probable(alive, probs)
-
-    def _most_probable(self, alive, probs: np.ndarray) -> int:
-        top = np.flatnonzero(probs == probs.max()).tolist()
-        if len(top) == 1:
-            return alive[top[0]]
         nodes = self.tree.nodes
-        return min((alive[i] for i in top), key=lambda c: (nodes[c].birth, c))
+        return min(zip(alive, probs.tolist()),
+                   key=lambda cp: (-cp[1], nodes[cp[0]].birth, cp[0]))[0]
 
     def point_estimate(self) -> np.ndarray:
         """Weight-averaged particle position."""
@@ -452,17 +448,16 @@ class FilterStack:
         if levels is None:
             levels = self.tree.unique_births()
         levels = [float(b) for b in levels]
-        per_level, maps = [], []
+        per_level = []
         for b in levels:
             alive, probs = self._alive_probs(b)
             per_level.append({"b": b, "classes": [{"id": int(c), "prob": p}
                                                   for c, p in zip(alive, probs.tolist())]})
-            maps.append({"b": b, "class_id": int(self._most_probable(alive, probs))})
         return {
             "t": self._t,
             "levels": per_level,
             "point_estimate": [float(x) for x in self.point_estimate()],
-            "map_class": maps,
+            "map_class": [{"b": b, "class_id": int(self.map_class(b))} for b in levels],
         }
 
     # -- main loop ----------------------------------------------------------------
