@@ -101,6 +101,7 @@ def gen_coarse(z, psi: float, index: ClassPointIndex, level: float,
     the summed squared nearest-point distances; ties break toward the
     smallest node id.
     """
+    check_psi(psi)
     if level < 0:
         raise InvalidInputError("level must be >= 0")
     z = np.asarray(z, dtype=float)

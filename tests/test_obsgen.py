@@ -23,9 +23,14 @@ def test_fine_zero_noise_exact():
 
 
 @pytest.mark.parametrize("psi", [-0.1, float("nan"), float("inf")])
-def test_fine_rejects_negative_or_non_finite_psi(psi):
+def test_generators_reject_negative_or_non_finite_psi(fixed_corpus, fixed_tree, psi):
+    rng = np.random.default_rng(1)
     with pytest.raises(InvalidInputError, match="psi must be finite and >= 0"):
-        gen_fine(np.zeros(2), psi, 1.0, np.random.default_rng(1))
+        gen_fine(np.zeros(2), psi, 1.0, rng)
+    # Unchecked, a NaN or inf psi scores every class NaN and names the first one.
+    with pytest.raises(InvalidInputError, match="psi must be finite and >= 0"):
+        gen_coarse(fixed_corpus[0].points[5], psi, ClassPointIndex(fixed_tree, fixed_corpus),
+                   0.0, rng, 1.0)
 
 
 def test_fine_offsets_one_sided():
