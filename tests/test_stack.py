@@ -640,32 +640,25 @@ def flat_filter_state(pf):
     return (pf.t, pf.labels.copy(), pf.positions.copy(), pf.weights.copy())
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-3])
-@pytest.mark.parametrize("kind", ["stack", "bl1"])
-def test_resample_rejects_negative_or_non_finite_weights(hand_stack, hand_tree, kind, bad):
-    if kind == "stack":
-        target, weights, state, resample = (hand_stack, "leaf_weights", stack_state,
-                                            hand_stack.resample)
-    else:
-        trajs = hand_trajectories()
-        leaves = hand_tree.leaves()
-        dyn = build_dynamics(hand_tree, trajs, kappa=0.5, epsilon_floor=0.5)
-        target = LeafParticleFilter(leaves, {c: dyn[c] for c in leaves},
-                                    {c: 1.0 for c in leaves},
-                                    start_point_sampler(hand_tree, trajs), N, 0.01, 31)
-        weights, state = "weights", flat_filter_state
-
-        def resample():
-            target._resample(np.random.default_rng(0))
+@pytest.mark.parametrize("bad, message", [(np.nan, "non-finite"), (np.inf, "non-finite"),
+                                          (-np.inf, "non-finite"), (-1e-3, "must be >= 0")])
+def test_resample_rejects_negative_or_non_finite_weights(hand_stack, hand_tree, bad, message):
+    trajs = hand_trajectories()
+    leaves = hand_tree.leaves()
+    dyn = build_dynamics(hand_tree, trajs, kappa=0.5, epsilon_floor=0.5)
+    pf = LeafParticleFilter(leaves, {c: dyn[c] for c in leaves}, {c: 1.0 for c in leaves},
+                            start_point_sampler(hand_tree, trajs), N, 0.01, 31)
     w = np.full(N, 1.0 / N)
     w[3] = bad
-    setattr(target, weights, w)
-    before = state(target)
-    with pytest.raises(InvalidInputError, match="non-finite" if np.isnan(bad) or np.isinf(bad)
-                       else "must be >= 0"):
-        resample()
-    for a, b in zip(state(target), before):
-        np.testing.assert_array_equal(a, b)
+    hand_stack.leaf_weights, pf.weights = w.copy(), w.copy()
+    for target, state, resample in [
+            (hand_stack, stack_state, hand_stack.resample),
+            (pf, flat_filter_state, lambda: pf._resample(np.random.default_rng(0)))]:
+        before = state(target)
+        with pytest.raises(InvalidInputError, match=message):
+            resample()
+        for a, b in zip(state(target), before):
+            np.testing.assert_array_equal(a, b)
 
 
 def test_one_stream_per_step(monkeypatch, fixed_corpus, fixed_tree):
