@@ -36,7 +36,8 @@ from .seeding import (PHASE_DATA, PHASE_INIT, PHASE_OBSERVE, PHASE_PREDICT,
                       PHASE_SCENARIO, as_seed_sequence, child_seed, substream)
 from .stack import (FilterStack, FineObservation, advance_particles, bounded_log_weights,
                     check_levels, check_observations, check_particles, class_masses,
-                    group_slices, resample_particles, start_point_sampler, weighted_mean)
+                    group_slices, read_only, resample_particles, start_point_sampler,
+                    weighted_mean)
 
 CONVERGENCE_FRACTION = 0.33
 
@@ -110,8 +111,12 @@ class LeafParticleFilter:
 
     @labels.setter
     def labels(self, labels: np.ndarray) -> None:
-        """Set the labels and regroup the particles by class, once per label change."""
-        self._labels = labels
+        """Set the labels and regroup the particles by class, once per label change.
+
+        The stored labels are read-only, so the grouping cannot go stale
+        under an in-place write: assign a new array instead.
+        """
+        self._labels = read_only(labels)
         self._groups = group_slices(np.searchsorted(self._class_ids, labels),
                                     len(self._class_ids))
 

@@ -66,6 +66,13 @@ def weighted_mean(positions: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return (weights[:, None] * positions).sum(axis=0) / weights.sum()
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of `a`, for arrays whose derived groupings are cached."""
+    view = np.asarray(a).view()
+    view.flags.writeable = False
+    return view
+
+
 def group_slices(keys: np.ndarray, k: int):
     """Particle indices grouped by key (0..k-1), in index order within a group.
 
@@ -162,7 +169,7 @@ def resample_particles(positions: np.ndarray, labels: np.ndarray, weights: np.nd
         raise InvalidInputError(f"particle weights have a non-finite total ({s})")
     if weights.min() < 0.0:
         raise InvalidInputError(f"particle weights must be >= 0, got {weights.min()}")
-    reset = s <= 0.0
+    reset = bool(s <= 0.0)
     cdf = np.cumsum(np.full(n, 1.0 / n) if reset else weights / s)
     cdf /= cdf[-1]
     n_keep, n_random = split_counts(n, depletion)
@@ -279,8 +286,12 @@ class FilterStack:
 
     @leaf_labels.setter
     def leaf_labels(self, labels: np.ndarray) -> None:
-        """Set the labels and regroup the particles by leaf, once per label change."""
-        self._labels = labels
+        """Set the labels and regroup the particles by leaf, once per label change.
+
+        The stored labels are read-only, so the grouping cannot go stale
+        under an in-place write: assign a new array instead.
+        """
+        self._labels = read_only(labels)
         self._cols = np.searchsorted(self._leaf_ids, labels)
         self._leaf_groups = group_slices(self._cols, len(self._leaf_ids))
 
@@ -308,7 +319,7 @@ class FilterStack:
         spreads its new mass uniformly over its children); ancestors sum.
         """
         if order is None:
-            cls = part.leaf_class[np.searchsorted(self._leaf_ids, self.leaf_labels)]
+            cls = part.leaf_class[self._cols]
             order, bounds = group_slices(cls, len(part.ids))
         sums = group_sums(weights, order, bounds)
         total = sum(sums)
@@ -330,12 +341,7 @@ class FilterStack:
                 else:
                     out[r] = value / n_children
         for r, children in part.up:
-            if len(children) == 2:
-                # Equals sum() of the two bit for bit: sum() adds from +0.0,
-                # and class sums (numpy adds from +0.0 too) are never -0.0.
-                out[r] = out[children[0]] + out[children[1]]
-            else:
-                out[r] = sum([out[c] for c in children])
+            out[r] = sum([out[c] for c in children])
         self._probs = np.array(out)
 
     # -- prediction --------------------------------------------------------------
@@ -499,9 +505,10 @@ def check_consistency(stack: FilterStack) -> None:
         levels = np.linspace(0.0, root_birth, CONSISTENCY_LEVELS)
     else:
         levels = np.zeros(1)
+    probs = stack.class_probs
     for b in levels:
         alive = tree.alive_at(float(b))
-        total = sum(stack.class_probs.get(c, 0.0) for c in alive)
+        total = sum(probs.get(c, 0.0) for c in alive)
         if abs(total - 1.0) > CONSISTENCY_ATOL:
             raise AssertionError(f"level {b}: probabilities sum to {total}")
         count = int(tree.membership[[tree.row(c) for c in alive]][:, cols].sum())
@@ -509,7 +516,6 @@ def check_consistency(stack: FilterStack) -> None:
             raise AssertionError(f"level {b}: {count} particles != N={stack.n_particles}")
     for nid, node in tree.nodes.items():
         if node.children:
-            child_sum = sum(stack.class_probs.get(ch, 0.0) for ch in node.children)
-            if abs(child_sum - stack.class_probs.get(nid, 0.0)) > CONSISTENCY_ATOL:
-                raise AssertionError(
-                    f"node {nid}: children sum {child_sum} != {stack.class_probs.get(nid)}")
+            child_sum = sum(probs.get(ch, 0.0) for ch in node.children)
+            if abs(child_sum - probs.get(nid, 0.0)) > CONSISTENCY_ATOL:
+                raise AssertionError(f"node {nid}: children sum {child_sum} != {probs.get(nid)}")

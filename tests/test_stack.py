@@ -129,7 +129,9 @@ def test_rebuild_zero_prev_parent_splits_uniformly(hand_stack):
     # Pushing fresh mass through an exhausted parent has no conditional to
     # scale, so the children split it evenly.
     # Half the particles move under node 3 (all into leaf 0) before the update.
-    stack.leaf_labels[:N // 2] = 0
+    labels = stack.leaf_labels.copy()
+    labels[:N // 2] = 0
+    stack.leaf_labels = labels
     stack.rebuild_tree(stack.tree.partition({3, 2}), np.full(N, 1.0 / N))
     assert stack.class_probs[3] == pytest.approx(0.5)
     assert stack.class_probs[0] == pytest.approx(0.25)
@@ -661,6 +663,28 @@ def test_resample_rejects_negative_or_non_finite_weights(hand_stack, hand_tree, 
             np.testing.assert_array_equal(a, b)
 
 
+def test_labels_reject_in_place_writes(hand_stack, hand_tree):
+    # Both filters cache the grouping of particles by class; a write that
+    # bypasses the setter would leave it stale.
+    trajs = hand_trajectories()
+    leaves = hand_tree.leaves()
+    dyn = build_dynamics(hand_tree, trajs, kappa=0.5, epsilon_floor=0.5)
+    pf = LeafParticleFilter(leaves, {c: dyn[c] for c in leaves}, {c: 1.0 for c in leaves},
+                            start_point_sampler(hand_tree, trajs), N, 0.01, 31)
+    for labels in (hand_stack.leaf_labels, pf.labels):
+        with pytest.raises(ValueError):
+            labels[0] = 0
+
+
+def test_resample_reset_keeps_diagnostics_json(hand_stack):
+    hand_stack.leaf_weights = np.zeros(N)
+    resets = hand_stack.diagnostics["uniform_resets"]
+    hand_stack.resample()
+    assert hand_stack.diagnostics["uniform_resets"] == resets + 1
+    assert type(hand_stack.diagnostics["uniform_resets"]) is int
+    json.dumps(hand_stack.diagnostics)
+
+
 def test_one_stream_per_step(monkeypatch, fixed_corpus, fixed_tree):
     import mhpf.evaluation
     import mhpf.stack
@@ -836,7 +860,9 @@ def test_rebuild_matches_reference_on_ternary_tree():
 def test_rebuild_matches_reference_through_an_exhausted_parent(hand_stack):
     stack = hand_stack
     force_counts(stack, {0: 0, 1: 0, 2: N})
-    stack.leaf_labels[:N // 2] = 0
+    labels = stack.leaf_labels.copy()
+    labels[:N // 2] = 0
+    stack.leaf_labels = labels
     w = np.linspace(0.0, 1.0, N)
     for level in ({3, 2}, {4}, stack.tree.leaves()):
         assert_rebuild_matches_reference(stack, stack.tree.partition(level), w)
