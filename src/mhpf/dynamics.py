@@ -68,35 +68,37 @@ class ClassDynamics:
         """Checked copy at another noise fraction, sharing the sample arrays."""
         return replace(self, kappa=float(kappa))
 
-    def _shepard(self, w: np.ndarray, inside: np.ndarray) -> np.ndarray:
-        """Inverse-distance average over the ball, weighting the distances `w` in place.
+    def _shepard(self, d: np.ndarray, inside: np.ndarray) -> np.ndarray:
+        """Inverse-distance average over the ball, weighting the distances `d` in place.
 
-        Every row of `w` is positive and finite with at least one entry inside:
-        1/d * 1 is exactly 1/d, and d * 0 is +0.0, so the weights equal
-        np.where(inside, 1/d, 0) bit for bit.
+        Every row of `d` is positive and finite with at least one entry inside,
+        so inside / d is 1/d in the ball and +0.0 outside it, bit for bit the
+        weights np.where(inside, 1/d, 0).
         """
-        np.divide(1.0, w, out=w, where=inside)
-        w *= inside
+        w = np.divide(inside, d, out=d)
         return (w @ self.velocities) / w.sum(axis=1)[:, None]
 
     def _dense_velocities(self, zs: np.ndarray):
         d = cdist(zs, self.positions)
+        # A row's ball is empty exactly when its nearest sample lies outside
+        # it. Both fallbacks take the row's first nearest sample: an
+        # off-manifold query (empty ball) extrapolates from it, and on a
+        # coincident sample the inverse-distance weights blow up, whose limit
+        # is that sample's own velocity.
+        nearest = d.argmin(axis=1)
+        dmin = d[np.arange(len(d)), nearest]
+        empty = dmin >= self.epsilon
+        special = empty | (dmin == 0.0)
+        if special.all():
+            return self.velocities[nearest], empty
         inside = d < self.epsilon
-        empty = ~inside.any(axis=1)
-        special = empty | (d.min(axis=1) == 0.0)
         if not special.any():
             return self._shepard(d, inside), empty
-        vels = np.empty_like(zs)
+        vels = self.velocities[nearest]
         regular = ~special
-        if regular.any():
-            # The matmul runs on exactly the regular rows: BLAS may pick
-            # another kernel, and other last bits, for another shape.
-            vels[regular] = self._shepard(d[regular], inside[regular])
-        # Inverse-distance weights blow up on a coincident sample; the limit
-        # is that (first such) sample's own velocity. An off-manifold query
-        # (empty ball) extrapolates from the single nearest sample. Both are
-        # the row's first minimum.
-        vels[special] = self.velocities[d[special].argmin(axis=1)]
+        # The matmul runs on exactly the regular rows: BLAS may pick another
+        # kernel, and other last bits, for another shape.
+        vels[regular] = self._shepard(d[regular], inside[regular])
         return vels, empty
 
     def local_velocities(self, zs: np.ndarray):

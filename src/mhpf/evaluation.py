@@ -117,11 +117,12 @@ class LeafParticleFilter:
         under an in-place write: assign a new array instead.
         """
         self._labels = read_only(labels)
-        self._groups = group_slices(np.searchsorted(self._class_ids, labels),
-                                    len(self._class_ids))
+        self._cols = np.searchsorted(self._class_ids, labels)
+        self._groups = group_slices(self._cols, len(self._class_ids))
 
     def class_probs(self) -> dict[int, float]:
-        return class_masses(self.weights, self._groups, self._class_ids)
+        masses = class_masses(self.weights, self._cols, len(self._class_ids))
+        return dict(zip(self._class_ids.tolist(), masses.tolist()))
 
     def point_estimate(self) -> np.ndarray:
         return weighted_mean(self.positions, self.weights)

@@ -9,8 +9,10 @@ the birth index of their lowest common ancestor.
 The queries a filter step makes are answered from arrays built once per tree,
 on first use: the alive set of every interval between consecutive births (and
 deaths), a node x leaf membership matrix, a node x node table of the birth of
-each pair's lowest common ancestor, and per alive set the walks that rebuild
-class probabilities from it (`Partition`).
+each pair's lowest common ancestor, and per alive set the class of every leaf
+(`Partition`). A node's probability is the sum of the leaf masses under it,
+one `membership` row times the leaf masses, so no walk over the tree keeps
+the levels consistent.
 """
 
 from __future__ import annotations
@@ -48,32 +50,22 @@ class Partition:
     `ids` are the classes in ascending order and `rows` their rows in the
     tree's tables. Leaf columns follow `ClusterTree.leaves()`: `leaf_class`
     gives, per leaf column, the position in `ids` of the class above that leaf,
-    `leaf_below` marks the leaves strictly under a class, and `leaves_below`
-    holds those as a (column, row) pair of arrays. The walks name nodes by
-    row: `down` lists (row, parent row, parent's child count) for every node
-    strictly under a class, parents first; `up` lists (row, child rows) for
-    every node strictly above the classes, children first.
+    and `leaf_below` marks the leaves strictly under a class (not themselves
+    a class).
     """
 
     ids: tuple[int, ...]
     rows: np.ndarray
     leaf_class: np.ndarray
     leaf_below: np.ndarray
-    leaves_below: tuple[np.ndarray, np.ndarray]
-    down: tuple[tuple[int, int, int], ...]
-    up: tuple[tuple[int, tuple[int, ...]], ...]
 
 
 @dataclass(frozen=True, eq=False)
 class _Tables:
     ids: list            # node ids, ascending; row r of every table is node ids[r]
     row: dict            # node id -> row
-    parent: list         # parent row, -1 for the root
-    children: list       # child rows, in the node's child order
-    topdown: list        # rows reachable from the root, every parent before its children
-    subtree: np.ndarray  # (node, node) bool: column s lies in the subtree of row r
     leaf_rows: np.ndarray  # rows of the leaves, ascending ids
-    membership: np.ndarray  # subtree restricted to the leaf columns
+    membership: np.ndarray  # (node, leaf) bool: leaf column j lies in the subtree of row r
     lca_birth: np.ndarray  # (node, node) birth of the pair's lowest common ancestor
     breaks: list         # sorted births and finite deaths: the alive set changes only here
     alive: list          # per break, the ids alive from it up to the next, ascending
@@ -141,8 +133,7 @@ class ClusterTree:
         ids_arr = np.array(ids)
         alive = [tuple(ids_arr[(births <= b) & (b < deaths)].tolist()) for b in breaks]
         leaf_rows = np.array([row[nid] for nid in self.leaves()], dtype=int)
-        return _Tables(ids, row, parent, children, topdown, subtree, leaf_rows,
-                       subtree[:, leaf_rows], lca_birth, breaks, alive)
+        return _Tables(ids, row, leaf_rows, subtree[:, leaf_rows], lca_birth, breaks, alive)
 
     def row(self, node_id: int) -> int:
         """Row of a node in `membership` and `lca_birth` (rows follow ascending ids)."""
@@ -194,17 +185,7 @@ class ClusterTree:
         if not np.all(cover.sum(axis=0) == 1):
             raise InvalidInputError(f"nodes {list(key)} do not partition the leaves")
         leaf_class = cover.argmax(axis=0)
-        own = np.zeros(len(t.ids), dtype=bool)
-        own[rows] = True
-        below = t.subtree[rows].any(axis=0) & ~own
-        above = t.subtree[:, rows].any(axis=1) & ~own
-        below_l, above_l = below.tolist(), above.tolist()
-        down = tuple((r, t.parent[r], len(t.children[t.parent[r]]))
-                     for r in t.topdown if below_l[r])
-        up = tuple((r, t.children[r]) for r in reversed(t.topdown) if above_l[r])
-        leaf_below = below[t.leaf_rows]
-        cols = np.flatnonzero(leaf_below)
-        part = Partition(key, rows, leaf_class, leaf_below, (cols, t.leaf_rows[cols]), down, up)
+        part = Partition(key, rows, leaf_class, rows[leaf_class] != t.leaf_rows)
         self._partitions[key] = part
         return part
 

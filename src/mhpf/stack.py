@@ -2,18 +2,19 @@
 
 One set of N weighted (leaf class, position) particles carries the estimate.
 A node of the tree holds the particles whose leaf class lies under it, so
-every level of the tree partitions the same N particles. Class probabilities
-live on the whole tree, as an array over the tree's rows, and are kept
-consistent (children sum to their parent) by rebuilding from whichever level
-an observation updated: masses are recomputed from that level's particle
-weights, pushed down by proportional scaling against the pre-observation
-snapshot, and pushed up by summation.
+every level of the tree partitions the same N particles. The probability
+state is one mass per leaf, plus its copy from before the step's
+observations. A node's probability is the sum of the leaf masses under it
+(`membership @ masses`), so children sum to their parent by construction.
+An update at some level gives each class there its particles' share of the
+level's weight: a leaf that is a class takes that share, and the leaves
+under a larger class split it in proportion to their pre-observation masses.
 
 Fine observations reweight the particles by distance to the observed
 position. Coarse observations name a class at some level; every particle
 under a class alive there receives the same weight from the tree-class
 distance to the observed class. Particles of a leaf class alive at that level
-keep that weight; the others keep their own, rescaled by their leaf class's
+keep that weight; the others keep their own, rescaled by their class's
 probability ratio.
 
 Step t draws from one random stream, (PHASE_PREDICT, t): the dynamics noise
@@ -22,6 +23,7 @@ of each populated leaf class in ascending class order, then the resampling.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,30 +84,24 @@ def group_slices(keys: np.ndarray, k: int):
     return order, np.searchsorted(keys[order], np.arange(k + 1))
 
 
-def group_sums(values: np.ndarray, order: np.ndarray, bounds: np.ndarray) -> list[float]:
-    """Per-group sums of `values`, each summed as one slice in particle order.
-
-    This reproduces values[mask].sum() bit for bit. np.bincount and
-    np.add.reduceat add in other orders and differ from it in the last bit.
-    """
-    v = values[order]
-    return [float(v[a:b].sum()) if b > a else 0.0
-            for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist())]
-
-
-def class_masses(weights: np.ndarray, groups, class_ids: np.ndarray) -> dict[int, float]:
+def class_masses(weights: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
     """Normalized per-class weight sums over one particle set.
 
-    `groups` is group_slices over positions in the ascending `class_ids`.
-    Each class sums as one slice in particle order, and the total in class
-    order, so independent filters sharing a particle set derive bit-identical
-    masses.
+    `cols` gives each particle's class position, 0..k-1. One bincount adds
+    each class's weights in particle order, and the builtin `sum` adds the
+    class sums in class order, so filters sharing a particle set derive
+    bit-identical masses. A non-finite total, a negative weight or a zero
+    total raises InvalidInputError.
     """
-    sums = group_sums(weights, *groups)
-    total = sum(sums)
-    if total <= 0:
-        raise InvalidInputError("all-zero weights: cannot derive class masses")
-    return {c: s / total for c, s in zip(class_ids.tolist(), sums)}
+    sums = np.bincount(cols, weights=weights, minlength=k)
+    total = sum(sums.tolist())
+    if not math.isfinite(total):
+        raise InvalidInputError(f"particle weights have a non-finite total ({total})")
+    if weights.min() < 0.0:
+        raise InvalidInputError(f"particle weights must be >= 0, got {weights.min()}")
+    if total <= 0.0:
+        raise InvalidInputError("particle weights have a zero total")
+    return sums / total
 
 
 def advance_particles(positions: np.ndarray, class_ids: np.ndarray, groups, dynamics,
@@ -118,14 +114,14 @@ def advance_particles(positions: np.ndarray, class_ids: np.ndarray, groups, dyna
     how many advances fell back to extrapolation.
     """
     order, bounds = groups
+    moved = positions[order]
     extrapolated = 0
     for nid, a, b in zip(class_ids.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
         if a == b:
             continue
-        idx = order[a:b]
-        new, flags = dynamics[nid].step_batch(positions[idx], rng)
-        positions[idx] = new
-        extrapolated += int(flags.sum())
+        moved[a:b], flags = dynamics[nid].step_batch(moved[a:b], rng)
+        extrapolated += np.count_nonzero(flags)
+    positions[order] = moved
     return extrapolated
 
 
@@ -225,11 +221,12 @@ def check_observations(observations, dim: int, tree=None) -> tuple:
 class FilterStack:
     """Single-writer filter state machine over a cluster tree.
 
-    Class probabilities are float arrays over the tree's rows
-    (`ClusterTree.row`, ascending ids): the current ones and the snapshot
-    taken before the step's observations. `class_probs` and `prev_probs`
-    read them as {id: p}. Step t draws its prediction noise and then its
-    resampling from one stream, (PHASE_PREDICT, t).
+    The probability state is one float per leaf, in `ClusterTree.leaves()`
+    order: the current masses and their copy taken before the step's
+    observations. `class_probs` and `prev_probs` read them as {id: p} over
+    every node, each node summing the leaf masses under it. Step t draws its
+    prediction noise and then its resampling from one stream,
+    (PHASE_PREDICT, t).
     """
 
     def __init__(self, tree, dynamics, class_prior: dict, position_sampler,
@@ -249,6 +246,7 @@ class FilterStack:
         self._rng_t = None  # the step whose stream self._rng is
         self._leaf_ids = np.asarray(leaf_ids, dtype=int)
         self._node_ids = sorted(tree.nodes)
+        self._membership = tree.membership.astype(float)
         self.diagnostics = {"uniform_resets": 0, "extrapolated": 0}
 
         probs = np.array([class_prior.get(c, 0.0) for c in leaf_ids], dtype=float)
@@ -264,9 +262,9 @@ class FilterStack:
         self.leaf_weights = np.full(self.n_particles, 1.0 / self.n_particles)
 
         self._leaf_partition = tree.partition(leaf_ids)
-        self._prev = np.zeros(len(self._node_ids))
-        self.rebuild_tree(self._leaf_partition, self.leaf_weights, *self._leaf_groups)
-        self._prev = self._probs
+        self._prev_masses = np.zeros(len(leaf_ids))
+        self.rebuild_tree(self._leaf_partition, self.leaf_weights, self._cols)
+        self._prev_masses = self._masses
 
     # -- level bookkeeping ---------------------------------------------------
 
@@ -295,54 +293,58 @@ class FilterStack:
         self._cols = np.searchsorted(self._leaf_ids, labels)
         self._leaf_groups = group_slices(self._cols, len(self._leaf_ids))
 
+    def _node_probs(self, masses: np.ndarray) -> np.ndarray:
+        """Probabilities on the tree's rows: each node sums the leaf masses under it."""
+        return self._membership @ masses
+
     @property
     def class_probs(self) -> dict[int, float]:
-        return dict(zip(self._node_ids, self._probs.tolist()))
+        return dict(zip(self._node_ids, self._node_probs(self._masses).tolist()))
 
     @property
     def prev_probs(self) -> dict[int, float]:
-        return dict(zip(self._node_ids, self._prev.tolist()))
+        return dict(zip(self._node_ids, self._node_probs(self._prev_masses).tolist()))
 
     @prev_probs.setter
     def prev_probs(self, probs: dict) -> None:
-        self._prev = np.array([probs.get(c, 0.0) for c in self._node_ids], dtype=float)
+        """Set the pre-observation masses from {id: p}; only the leaves' entries are read."""
+        self._prev_masses = np.array([probs.get(c, 0.0) for c in self._leaf_ids.tolist()],
+                                     dtype=float)
 
     # -- tree probability rebuild ----------------------------------------------
 
-    def rebuild_tree(self, part, weights, order=None, bounds=None) -> None:
-        """Recompute class probabilities from one level's particle weights.
+    def rebuild_tree(self, part, weights, cls=None) -> np.ndarray:
+        """Recompute the leaf masses from one level's particle weights.
 
-        A class of the partition `part` gets the sum of `weights` over the
-        particles under it (grouped by `order` and `bounds` when the caller
-        has them, else from the current labels); descendants scale
-        proportionally against the pre-update snapshot (an exhausted parent
-        spreads its new mass uniformly over its children); ancestors sum.
+        Each class c of the partition `part` gets P(c), its particles' share
+        of `weights` (`class_masses`; `cls` gives each particle's class
+        position in `part` when the caller has it, else the labels do). A
+        leaf that is itself a class takes P(c). The leaves strictly under a
+        class scale their pre-observation masses by P(c)/P_prev(c), where
+        P_prev(c) is those masses' sum in leaf order. An exhausted class
+        (P_prev(c) = 0) splits P(c) evenly over its leaves, not over its
+        children, so in an uneven subtree each leaf gets the same share.
+        Bad weights raise InvalidInputError before any state changes.
+
+        Returns the per-leaf ratio: P(c)/P_prev(c) for a leaf under a class
+        with prior mass, 1 for every other leaf.
         """
-        if order is None:
+        if cls is None:
             cls = part.leaf_class[self._cols]
-            order, bounds = group_slices(cls, len(part.ids))
-        sums = group_sums(weights, order, bounds)
-        total = sum(sums)
-        if not np.isfinite(total):
-            raise InvalidInputError(f"updated level has a non-finite total weight ({total})")
-        if total <= 0:
-            raise InvalidInputError("updated level has zero total weight")
-        # The walks run on Python floats, row by row: the same IEEE operations,
-        # in the same order, as a walk over {id: p}.
-        out = [0.0] * len(self._node_ids)
-        for r, s in zip(part.rows.tolist(), sums):
-            out[r] = s / total
-        if part.down:
-            prev = self._prev.tolist()
-            for r, parent, n_children in part.down:
-                value, prev_parent = out[parent], prev[parent]
-                if prev_parent > 0.0:
-                    out[r] = prev[r] * value / prev_parent
-                else:
-                    out[r] = value / n_children
-        for r, children in part.up:
-            out[r] = sum([out[c] for c in children])
-        self._probs = np.array(out)
+        probs = class_masses(weights, cls, len(part.ids))
+        ratio = np.ones(len(self._leaf_ids))
+        if not part.leaf_below.any():  # the leaf level: class order is leaf order
+            self._masses = probs
+            return ratio
+        lc = part.leaf_class
+        prev = np.bincount(lc, weights=self._prev_masses, minlength=len(probs))
+        scaled = part.leaf_below & (prev > 0.0)[lc]
+        c = lc[scaled]
+        ratio[scaled] = probs[c] / prev[c]
+        masses = probs[lc] / np.bincount(lc)[lc]
+        masses[scaled] = self._prev_masses[scaled] * ratio[scaled]
+        self._masses = masses
+        return ratio
 
     # -- prediction --------------------------------------------------------------
 
@@ -375,7 +377,7 @@ class FilterStack:
         else:
             w = w / s
         self.leaf_weights = w
-        self.rebuild_tree(self._leaf_partition, w, *self._leaf_groups)
+        self.rebuild_tree(self._leaf_partition, w, self._cols)
 
     def _update_coarse(self, class_id: int, level_value: float) -> None:
         part = self.tree.partition(self.tree.alive_ids(level_value))
@@ -385,9 +387,8 @@ class FilterStack:
             self.diagnostics["uniform_resets"] += 1
         # Every particle takes the value of its class in the level.
         cls = part.leaf_class[self._cols]
-        order, bounds = group_slices(cls, len(part.ids))
         w = values[cls]
-        level_total = sum(group_sums(w, order, bounds))
+        level_total = w.sum()
         if level_total <= 0.0:
             # Every populated class scored zero: no usable information.
             w[:] = 1.0 / self.n_particles
@@ -396,28 +397,18 @@ class FilterStack:
             # Keep the level's particle weights a distribution; the class
             # masses only depend on their ratios.
             w /= level_total
-        self.rebuild_tree(part, w, order, bounds)
+        ratio = self.rebuild_tree(part, w, cls)
         # Leaf classes in the level take these weights; the rest keep theirs,
         # rescaled by their class's probability ratio.
+        weights = self.leaf_weights * ratio[self._cols]
         in_level = ~part.leaf_below[self._cols]
-        self.leaf_weights[in_level] = w[in_level]
-        self._scale_outside(part)
-        s = self.leaf_weights.sum()
+        weights[in_level] = w[in_level]
+        s = weights.sum()
         if s <= 0.0:
             self.leaf_weights = np.full(self.n_particles, 1.0 / self.n_particles)
             self.diagnostics["uniform_resets"] += 1
         else:
-            self.leaf_weights = self.leaf_weights / s
-
-    def _scale_outside(self, part) -> None:
-        """w *= P_t(c)/P_prev(c) for every particle of a leaf class below the partition."""
-        cols, rows = part.leaves_below
-        prev = self._prev[rows]
-        live = prev > 0.0
-        ratio = np.ones(len(self._leaf_ids))
-        ratio[cols[live]] = self._probs[rows[live]] / prev[live]
-        if not np.all(ratio == 1.0):
-            self.leaf_weights = self.leaf_weights * ratio[self._cols]
+            self.leaf_weights = weights / s
 
     # -- resampling -------------------------------------------------------------
 
@@ -428,23 +419,25 @@ class FilterStack:
             self.depletion, self._step_rng())
         self.diagnostics["uniform_resets"] += reset
         self.leaf_weights = np.full(self.n_particles, 1.0 / self.n_particles)
-        self.rebuild_tree(self._leaf_partition, self.leaf_weights, *self._leaf_groups)
+        self.rebuild_tree(self._leaf_partition, self.leaf_weights, self._cols)
 
     # -- queries -----------------------------------------------------------------
 
-    def _alive_probs(self, b: float):
-        """The classes alive at level b and their probabilities."""
+    def _level_probs(self, b: float, probs: np.ndarray):
+        """The classes alive at level b and their entries of the row array `probs`."""
         alive = self.tree.alive_ids(b)
         if not alive:
             raise InvalidInputError(f"no class is alive at level {b!r}")
-        return alive, self._probs[self.tree.partition(alive).rows]
+        return alive, probs[self.tree.partition(alive).rows].tolist()
+
+    def _most_probable(self, alive, probs) -> int:
+        """Highest-probability class of a level (ties: birth, then id)."""
+        nodes = self.tree.nodes
+        return min(zip(alive, probs), key=lambda cp: (-cp[1], nodes[cp[0]].birth, cp[0]))[0]
 
     def map_class(self, b: float) -> int:
         """Highest-probability alive class at level b (ties: birth, then id)."""
-        alive, probs = self._alive_probs(b)
-        nodes = self.tree.nodes
-        return min(zip(alive, probs.tolist()),
-                   key=lambda cp: (-cp[1], nodes[cp[0]].birth, cp[0]))[0]
+        return self._most_probable(*self._level_probs(b, self._node_probs(self._masses)))
 
     def point_estimate(self) -> np.ndarray:
         """Weight-averaged particle position."""
@@ -453,17 +446,18 @@ class FilterStack:
     def snapshot(self, levels=None) -> dict:
         if levels is None:
             levels = self.tree.unique_births()
-        levels = [float(b) for b in levels]
-        per_level = []
-        for b in levels:
-            alive, probs = self._alive_probs(b)
-            per_level.append({"b": b, "classes": [{"id": int(c), "prob": p}
-                                                  for c, p in zip(alive, probs.tolist())]})
+        probs = self._node_probs(self._masses)
+        per_level, maps = [], []
+        for b in map(float, levels):
+            alive, p = self._level_probs(b, probs)
+            per_level.append({"b": b, "classes": [{"id": int(c), "prob": q}
+                                                  for c, q in zip(alive, p)]})
+            maps.append({"b": b, "class_id": int(self._most_probable(alive, p))})
         return {
             "t": self._t,
             "levels": per_level,
             "point_estimate": [float(x) for x in self.point_estimate()],
-            "map_class": [{"b": b, "class_id": int(self.map_class(b))} for b in levels],
+            "map_class": maps,
         }
 
     # -- main loop ----------------------------------------------------------------
@@ -473,17 +467,16 @@ class FilterStack:
 
         Order: check every observation and snapshot level (a bad one raises
         InvalidInputError before any state changes), keep the pre-observation
-        probabilities, predict the particles, apply the observations in
-        arrival order, then resample and rebuild the probabilities from the
-        bottom level.
+        masses, predict the particles, apply the observations in arrival
+        order, then resample and rebuild the masses from the bottom level.
         """
         observations = check_observations(observations, self.leaf_positions.shape[1],
                                           self.tree)
         if snapshot_levels is not None:
             check_levels(snapshot_levels)
         self._t += 1
-        # The rebuilds replace the probability array, so this is a snapshot.
-        self._prev = self._probs
+        # The rebuilds replace the mass array, so this is a snapshot.
+        self._prev_masses = self._masses
         self.predict()
         for obs in observations:
             self._apply(obs)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from mhpf.geometry import euclidean
+from mhpf.geometry import Trajectory, euclidean
 
 
 def brute_force_frechet(p: np.ndarray, q: np.ndarray) -> float:
@@ -105,11 +105,13 @@ def brute_alive(tree, b: float) -> set:
 def reference_rebuild(tree, class_ids, leaf_labels, weights, prev) -> dict:
     """Class probabilities {id: p} rebuilt from one level's weights by dict walks.
 
-    The walk `FilterStack.rebuild_tree` ran over {id: p} before it held
-    probabilities on tree rows: each class gets its particles' weights summed
-    in particle order, over the total summed in ascending class order; nodes
-    below a class scale by their share of `prev` (an exhausted parent splits
-    evenly); nodes above sum their children with the builtin `sum`.
+    Each class gets its particles' weights summed in particle order, over the
+    total summed in ascending class order; nodes below a class scale by their
+    share of `prev`, and an exhausted parent splits its mass over its
+    children in proportion to their leaf counts (so each leaf under it gets
+    an even share); nodes above sum their children with the builtin `sum`.
+    It walks the tree level by level, so it rounds differently from the
+    leaf-mass rebuild and agrees with it only up to rounding.
     """
     def leaves_under(nid):
         node = tree.nodes[nid]
@@ -127,7 +129,7 @@ def reference_rebuild(tree, class_ids, leaf_labels, weights, prev) -> dict:
             if prev_parent > 0.0:
                 out[ch] = prev.get(ch, 0.0) * out[nid] / prev_parent
             else:
-                out[ch] = out[nid] / len(children)
+                out[ch] = out[nid] * len(leaves_under(ch)) / len(leaves_under(nid))
             push_down(ch)
 
     def pull_up(nid):
@@ -138,4 +140,54 @@ def reference_rebuild(tree, class_ids, leaf_labels, weights, prev) -> dict:
     for c in ids:
         push_down(c)
     pull_up(tree.root)
+    return out
+
+
+def reference_leaf_masses(tree, class_ids, leaf_labels, weights, prev_masses) -> list:
+    """Leaf masses rebuilt from one level's weights, one plain loop per quantity.
+
+    The arithmetic of `FilterStack.rebuild_tree`, in its order: each class's
+    weight sum adds its particles in particle order, the total adds the class
+    sums with the builtin `sum` in ascending class order, and P(c) is a class
+    sum over the total. Each class's prior mass adds the masses of its leaves
+    in leaf order. A leaf that is a class takes P(c); a leaf under a class
+    with prior mass takes prev * (P(c) / prior); a leaf under an exhausted
+    class takes P(c) / (the class's leaf count). Masses and prior masses are
+    listed in `tree.leaves()` order.
+    """
+    ids = sorted(class_ids)
+    leaves = tree.leaves()
+    leaf_class = []
+    for leaf in leaves:
+        node = leaf
+        while node not in ids:
+            node = tree.nodes[node].parent
+        leaf_class.append(ids.index(node))
+    sums = [0.0] * len(ids)
+    for label, w in zip(leaf_labels.tolist(), weights.tolist()):
+        sums[leaf_class[leaves.index(label)]] += w
+    total = sum(sums)
+    probs = [s / total for s in sums]
+    prior = [0.0] * len(ids)
+    n_leaves = [0] * len(ids)
+    for c, m in zip(leaf_class, prev_masses):
+        prior[c] += m
+        n_leaves[c] += 1
+    masses = []
+    for leaf, c, m in zip(leaves, leaf_class, prev_masses):
+        if ids[c] != leaf and prior[c] > 0.0:
+            masses.append(m * (probs[c] / prior[c]))
+        else:
+            masses.append(probs[c] / n_leaves[c])
+    return masses
+
+
+def random_corpus(rng, lattice: bool) -> list[Trajectory]:
+    """2 to 9 random-walk trajectories in a few bundles; on a lattice many births tie."""
+    out = []
+    for i in range(int(rng.integers(2, 10))):
+        start = rng.integers(0, 3) * 4.0 + rng.normal(scale=0.5, size=2)
+        pts = start + np.cumsum(rng.normal(loc=1.0, scale=0.6, size=(int(rng.integers(4, 12)), 2)),
+                                axis=0)
+        out.append(Trajectory(f"r{i}", np.round(pts) if lattice else pts))
     return out

@@ -314,3 +314,36 @@ def test_kernel_bit_identical_chunked(monkeypatch):
     expected = tuple(np.concatenate(parts) for parts in zip(*chunks))
     assert len(chunks) > 2 and not chunks[0][1].any()
     assert_kernel_matches(dyn, zs, expected)
+
+
+def test_kernel_all_fallback_batch_takes_nearest_samples():
+    dyn, _, coincident, off = kernel_case()
+    zs = np.vstack([off[:1], coincident, off[1:]])
+    expected = reference_velocities(dyn, zs)
+    d = cdist(zs, dyn.positions)
+    assert np.array_equal(expected[0], dyn.velocities[d.argmin(axis=1)])
+    assert expected[1].tolist() == [True, False, False, False, False, True, True]
+    assert_kernel_matches(dyn, zs, expected)
+
+
+@pytest.mark.parametrize("query, eps, first, extrapolated", [
+    ([0.0, 0.0], 0.5, 1, True),   # off-manifold: samples 1 and 2 both at distance 1
+    ([2.0, 2.0], 5.0, 3, False),  # coincident: samples 3 and 4 both on the query
+])
+def test_kernel_first_of_equidistant_nearest_samples_wins(query, eps, first, extrapolated):
+    positions = np.array([[9.0, 9.0], [1.0, 0.0], [-1.0, 0.0], [2.0, 2.0], [2.0, 2.0]])
+    velocities = np.arange(10.0).reshape(5, 2)
+    vel, flag = velocity_at(make_dynamics(positions, velocities, eps=eps), query)
+    assert np.array_equal(vel, velocities[first])
+    assert flag == extrapolated
+
+
+def test_kernel_coincident_sample_past_column_zero():
+    positions = np.array([[0.3, 0.0], [0.0, 0.4], [0.0, 0.0], [0.1, 0.1]])
+    velocities = np.array([[1.0, 0.0], [0.0, 1.0], [-2.0, 5.0], [3.0, 3.0]])
+    dyn = make_dynamics(positions, velocities, eps=1.0)
+    zs = np.array([[0.0, 0.0], [0.2, 0.2]])
+    vels, flags = dyn.local_velocities(zs)
+    assert np.array_equal(vels[0], [-2.0, 5.0])
+    assert not flags.any()
+    assert_kernel_matches(dyn, zs, reference_velocities(dyn, zs))

@@ -16,7 +16,7 @@ from mhpf.stack import (CoarseObservation, FilterStack, FineObservation,
                         bounded_log_weights, check_consistency, split_counts,
                         start_point_sampler)
 
-from helpers import reference_rebuild
+from helpers import random_corpus, reference_leaf_masses, reference_rebuild
 
 N = 100
 
@@ -424,17 +424,6 @@ def test_consistency_over_randomized_steps(hand_stack, hand_tree):
         check_consistency(stack)
 
 
-def random_corpus(rng, lattice: bool) -> list[Trajectory]:
-    """2 to 9 random-walk trajectories in a few bundles; on a lattice many births tie."""
-    out = []
-    for i in range(int(rng.integers(2, 10))):
-        start = rng.integers(0, 3) * 4.0 + rng.normal(scale=0.5, size=2)
-        pts = start + np.cumsum(rng.normal(loc=1.0, scale=0.6, size=(int(rng.integers(4, 12)), 2)),
-                                axis=0)
-        out.append(Trajectory(f"r{i}", np.round(pts) if lattice else pts))
-    return out
-
-
 def test_consistency_over_random_trees_and_mixed_streams():
     rng = np.random.default_rng(404)
     for trial in range(16):
@@ -625,6 +614,20 @@ def test_rebuild_rejects_non_finite_weights(hand_stack, bad):
         assert hand_stack.class_probs == before
 
 
+def test_rebuild_rejects_negative_weights_without_changing_state(hand_stack):
+    hand_stack.step([FineObservation(np.array([1.0, 0.2])), CoarseObservation(3, 1.5)])
+    w = np.full(N, 1.0 / N)
+    w[3] = -1e-3
+    before = stack_state(hand_stack)
+    for level in (hand_stack.tree.leaves(), {3, 2}):
+        with pytest.raises(InvalidInputError, match="must be >= 0"):
+            hand_stack.rebuild_tree(hand_stack.tree.partition(level), w)
+        after = stack_state(hand_stack)
+        for a, b in zip(after[1:4], before[1:4]):
+            np.testing.assert_array_equal(a, b)
+        assert after[4:] == before[4:]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_resample_rejects_non_finite_weights(hand_stack, bad):
     hand_stack.leaf_weights = np.full(N, 1.0 / N)
@@ -719,11 +722,10 @@ def test_one_stream_per_step(monkeypatch, fixed_corpus, fixed_tree):
         assert calls == {"stack": 1 + t, "evaluation": 1 + t}
 
 
-# sha256 of the all-level snapshots below, recorded when each filter step
-# began to draw from one (PHASE_PREDICT, t) stream: any change to a
-# probability, a MAP class, a point estimate, a coarse draw or a stream shows
-# here.
-GOLDEN_MIXED_RUN_SHA256 = "04a614c148c7c113995f7ce1a163373c3bfbd5b098f64d827f291df26bbd033f"
+# sha256 of the all-level snapshots below, recorded when leaf masses became
+# the stack's only probability state: any change to a probability, a MAP
+# class, a point estimate, a coarse draw or a stream shows here.
+GOLDEN_MIXED_RUN_SHA256 = "39b5808c928601d5378668901daf315a469d8969326527eb234a57e55a21acc0"
 
 
 def test_mixed_run_snapshots_match_golden(fixed_corpus, fixed_tree):
@@ -766,11 +768,11 @@ def ternary_tree():
 
 
 # sha256 of the all-level snapshots of a run on ternary_tree(), recorded
-# when each filter step began to draw from one stream. The prior leaves
-# node 6 empty at the first step, whose coarse observation names a level
-# where node 6 is alive, so the rebuild splits node 6's mass over its three
-# children; every leaf-level rebuild sums node 6 over three children.
-GOLDEN_TERNARY_RUN_SHA256 = "050f1940ad81dbcbc5aad6c3d3d55a43d4345454e47b494ef347548c7b3aa410"
+# when leaf masses became the stack's only probability state. The prior
+# leaves node 6 empty at the first step, whose coarse observation names a
+# level where node 6 is alive, so the rebuild splits node 6's mass over its
+# three leaves; node 6's probability always sums three leaf masses.
+GOLDEN_TERNARY_RUN_SHA256 = "f19d6063269fc29b69206c513cdf0960696a4f464104f527a74a6be5caa14c01"
 
 
 def test_ternary_tree_run_snapshots_match_golden():
@@ -798,16 +800,26 @@ def test_ternary_tree_run_snapshots_match_golden():
     assert digest.hexdigest() == GOLDEN_TERNARY_RUN_SHA256
 
 
+# Bound on the leaf-mass rebuild's distance from the level-by-level dict walk,
+# which rounds differently: probabilities are at most 1, and a few dozen
+# float64 operations stay far below this.
+WALK_ATOL = 1e-12
+
+
 def assert_rebuild_matches_reference(stack, part, weights):
-    """The row-array rebuild gives the dict walk's probabilities, bit for bit."""
-    prev = stack.prev_probs
+    """The rebuild gives the per-leaf loop's masses bit for bit, and the dict walk's closely."""
+    tree, prev = stack.tree, stack.prev_probs
+    prev_masses = [prev[c] for c in tree.leaves()]
     stack.rebuild_tree(part, weights)
-    expected = reference_rebuild(stack.tree, part.ids, stack.leaf_labels, weights, prev)
+    masses = reference_leaf_masses(tree, part.ids, stack.leaf_labels, weights, prev_masses)
     got = stack.class_probs
-    assert got.keys() == expected.keys()
     ids = sorted(got)
-    assert (np.array([got[c] for c in ids]).tobytes()
-            == np.array([expected[c] for c in ids]).tobytes())
+    assert ids == sorted(tree.nodes)
+    got_rows = np.array([got[c] for c in ids])
+    assert np.array([got[c] for c in tree.leaves()]).tobytes() == np.array(masses).tobytes()
+    assert got_rows.tobytes() == (tree.membership.astype(float) @ np.array(masses)).tobytes()
+    walk = reference_rebuild(tree, part.ids, stack.leaf_labels, weights, prev)
+    np.testing.assert_allclose(got_rows, [walk[c] for c in ids], rtol=0.0, atol=WALK_ATOL)
     assert stack.prev_probs == prev
 
 
@@ -844,17 +856,37 @@ def test_rebuild_matches_reference_on_random_trees():
         rebuild_every_level_against_reference(stack, rng)
 
 
-def test_rebuild_matches_reference_on_ternary_tree():
+def ternary_stack(prior, seed):
+    """A 60-particle stack on ternary_tree() over a short six-trajectory corpus."""
     tree = ternary_tree()
     steps = np.arange(10)
     corpus = [Trajectory(str(i), np.column_stack([steps / 3.0, 1.5 * i + np.sin(steps)]))
               for i in range(6)]
     dyn = build_dynamics(tree, corpus, kappa=0.3, epsilon_floor=2 * mean_spacing(corpus))
+    return FilterStack(tree, dyn, prior, start_point_sampler(tree, corpus), 60, 0.0, seed=seed)
+
+
+def test_rebuild_matches_reference_on_ternary_tree():
     rng = np.random.default_rng(406)
     for prior in ({3: 1.0, 4: 1.0, 5: 1.0}, {c: 1.0 for c in range(6)}):
-        stack = FilterStack(tree, dyn, prior, start_point_sampler(tree, corpus), 60, 0.0,
-                            seed=7)
-        rebuild_every_level_against_reference(stack, rng)
+        rebuild_every_level_against_reference(ternary_stack(prior, seed=7), rng)
+
+
+def test_rebuild_exhausted_class_splits_over_leaves_not_children():
+    # Node 8 covers leaves 3 and 4 (through node 7) and leaf 5. Split over its
+    # children, leaf 5 would take half of node 8's new mass; over its leaves,
+    # each of the three takes a third.
+    stack = ternary_stack({0: 1.0, 1: 1.0, 2: 1.0}, seed=5)
+    assert stack.class_probs[8] == 0.0
+    labels = stack.leaf_labels.copy()
+    labels[:30] = 3
+    stack.leaf_labels = labels
+    stack.rebuild_tree(stack.tree.partition({6, 8}), np.full(60, 1.0 / 60))
+    probs = stack.class_probs
+    assert probs[8] == pytest.approx(0.5)
+    assert [probs[c] for c in (3, 4, 5)] == pytest.approx([0.5 / 3] * 3)
+    assert probs[7] == pytest.approx(1.0 / 3.0)
+    check_consistency(stack)
 
 
 def test_rebuild_matches_reference_through_an_exhausted_parent(hand_stack):
