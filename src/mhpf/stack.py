@@ -84,6 +84,14 @@ def group_slices(keys: np.ndarray, k: int):
     return order, np.searchsorted(keys[order], np.arange(k + 1))
 
 
+def check_weights(weights: np.ndarray, total: float) -> None:
+    """Raise InvalidInputError for a non-finite total or a negative weight."""
+    if not math.isfinite(total):
+        raise InvalidInputError(f"particle weights have a non-finite total ({total})")
+    if weights.min() < 0.0:
+        raise InvalidInputError(f"particle weights must be >= 0, got {weights.min()}")
+
+
 def class_masses(weights: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
     """Normalized per-class weight sums over one particle set.
 
@@ -95,10 +103,7 @@ def class_masses(weights: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
     """
     sums = np.bincount(cols, weights=weights, minlength=k)
     total = sum(sums.tolist())
-    if not math.isfinite(total):
-        raise InvalidInputError(f"particle weights have a non-finite total ({total})")
-    if weights.min() < 0.0:
-        raise InvalidInputError(f"particle weights must be >= 0, got {weights.min()}")
+    check_weights(weights, total)
     if total <= 0.0:
         raise InvalidInputError("particle weights have a zero total")
     return sums / total
@@ -161,10 +166,7 @@ def resample_particles(positions: np.ndarray, labels: np.ndarray, weights: np.nd
     """
     n = len(weights)
     s = weights.sum()
-    if not np.isfinite(s):
-        raise InvalidInputError(f"particle weights have a non-finite total ({s})")
-    if weights.min() < 0.0:
-        raise InvalidInputError(f"particle weights must be >= 0, got {weights.min()}")
+    check_weights(weights, s)
     reset = bool(s <= 0.0)
     cdf = np.cumsum(np.full(n, 1.0 / n) if reset else weights / s)
     cdf /= cdf[-1]
@@ -333,9 +335,6 @@ class FilterStack:
             cls = part.leaf_class[self._cols]
         probs = class_masses(weights, cls, len(part.ids))
         ratio = np.ones(len(self._leaf_ids))
-        if not part.leaf_below.any():  # the leaf level: class order is leaf order
-            self._masses = probs
-            return ratio
         lc = part.leaf_class
         prev = np.bincount(lc, weights=self._prev_masses, minlength=len(probs))
         scaled = part.leaf_below & (prev > 0.0)[lc]
