@@ -24,7 +24,6 @@ from dataclasses import InitVar, dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.stats import ranksums
 
 from . import datasets
 from .dynamics import build_dynamics, check_epsilon_floor, check_kappa
@@ -35,7 +34,7 @@ from .obsgen import ClassPointIndex, ObsConfig, bbox_diagonal, default_coarse_le
 from .seeding import (PHASE_DATA, PHASE_INIT, PHASE_OBSERVE, PHASE_PREDICT,
                       PHASE_SCENARIO, as_seed_sequence, child_seed, substream)
 from .stack import (FilterStack, FineObservation, advance_particles, bounded_log_weights,
-                    check_levels, check_observations, check_particles, class_masses,
+                    check_levels, check_observations, check_particles, check_prior, class_masses,
                     group_slices, read_only, resample_particles, start_point_sampler,
                     weighted_mean)
 
@@ -85,15 +84,12 @@ class LeafParticleFilter:
                  n_particles: int, depletion: float, seed):
         check_particles(n_particles, depletion)
         self._class_ids = np.asarray(sorted(int(c) for c in class_ids), dtype=int)
+        probs = check_prior(class_prior, self._class_ids.tolist())
         self.dynamics = dynamics
         self.n_particles = int(n_particles)
         self.depletion = float(depletion)
         self.seed = as_seed_sequence(seed)
         self._t = 0
-        probs = np.array([class_prior.get(int(c), 0.0) for c in self._class_ids], dtype=float)
-        if probs.sum() <= 0:
-            raise InvalidInputError("prior has no mass on any class")
-        probs = probs / probs.sum()
         rng = substream(self.seed, PHASE_INIT)
         self.labels = rng.choice(self._class_ids, size=self.n_particles, p=probs)
         self.positions = np.stack([
@@ -522,6 +518,10 @@ def summarize(raw_rows):
         }
         bl1 = groups.get((cell, "bl1"))
         if kind == "mhpf" and bl1 is not None:
+            # Loaded here, not at module level: only these p-values need
+            # scipy.stats, and a process that only tracks should not pay for
+            # its import (about a third of mhpf.cli's resident memory).
+            from scipy.stats import ranksums
             for metric, col in (("mean_mse", "p_mse_vs_bl1"),
                                 ("mean_dist", "p_dist_vs_bl1"),
                                 ("conv", "p_conv_vs_bl1")):

@@ -24,6 +24,7 @@ of each populated leaf class in ascending class order, then the resampling.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,15 +179,51 @@ def resample_particles(positions: np.ndarray, labels: np.ndarray, weights: np.nd
 
 
 def check_particles(n_particles: int, depletion: float) -> None:
+    """Raise InvalidInputError unless the particle count is a whole number >= 1
+    (100.0 passes) and the depletion fraction a number in [0, 1)."""
+    whole = isinstance(n_particles, numbers.Integral) or (
+        isinstance(n_particles, numbers.Real) and float(n_particles).is_integer())
+    if not whole:
+        raise InvalidInputError(f"particle count must be a whole number, got {n_particles!r}")
     if n_particles < 1:
         raise InvalidInputError("need at least one particle")
-    if not (0.0 <= depletion < 1.0):
+    if not (isinstance(depletion, numbers.Real) and 0.0 <= depletion < 1.0):
         raise InvalidInputError("depletion fraction must be in [0, 1)")
 
 
-def check_levels(levels) -> None:
-    if not all(0 <= b < np.inf for b in levels):
+def check_prior(class_prior: dict, class_ids: list) -> np.ndarray:
+    """The prior's masses on `class_ids` (a missing class has 0), normalized.
+
+    Raises InvalidInputError if the prior names a class outside `class_ids`,
+    if a mass is not a finite number >= 0, or if the total is not finite
+    and > 0.
+    """
+    known = set(class_ids)
+    for c, m in class_prior.items():
+        if c not in known:
+            raise InvalidInputError(f"prior assigns mass to class {c!r}, not one of "
+                                    f"the filter's classes")
+        if not (isinstance(m, numbers.Real) and math.isfinite(m) and m >= 0):
+            raise InvalidInputError(f"prior mass of class {c!r} must be a finite number "
+                                    f">= 0, got {m!r}")
+    probs = np.array([class_prior.get(c, 0.0) for c in class_ids], dtype=float)
+    with np.errstate(over="ignore"):  # an overflowing total is rejected just below
+        total = probs.sum()
+    if not 0.0 < total < math.inf:
+        raise InvalidInputError(f"prior masses must have a finite total > 0, got {total}")
+    return probs / total
+
+
+def check_levels(levels) -> list:
+    """The snapshot levels as a list; each must be a finite number >= 0."""
+    try:
+        levels = list(levels)
+    except TypeError:
+        raise InvalidInputError(
+            f"snapshot levels must be a sequence of numbers, got {levels!r}") from None
+    if not all(isinstance(b, numbers.Real) and 0 <= b < math.inf for b in levels):
         raise InvalidInputError(f"snapshot levels must be finite and >= 0, got {levels!r}")
+    return levels
 
 
 def check_observations(observations, dim: int, tree=None) -> tuple:
@@ -235,10 +272,7 @@ class FilterStack:
                  n_particles: int, depletion: float, seed):
         check_particles(n_particles, depletion)
         leaf_ids = tree.leaves()
-        leaf_set = set(leaf_ids)
-        for c in class_prior:
-            if c not in leaf_set:
-                raise InvalidInputError(f"prior assigns mass to non-leaf class {c}")
+        probs = check_prior(class_prior, leaf_ids)
         self.tree = tree
         self.dynamics = dynamics
         self.n_particles = int(n_particles)
@@ -250,11 +284,6 @@ class FilterStack:
         self._node_ids = sorted(tree.nodes)
         self._membership = tree.membership.astype(float)
         self.diagnostics = {"uniform_resets": 0, "extrapolated": 0}
-
-        probs = np.array([class_prior.get(c, 0.0) for c in leaf_ids], dtype=float)
-        if probs.sum() <= 0:
-            raise InvalidInputError("prior has no mass on any leaf")
-        probs = probs / probs.sum()
 
         rng = substream(self.seed, PHASE_INIT)
         self.leaf_labels = rng.choice(self._leaf_ids, size=self.n_particles, p=probs)
@@ -472,7 +501,7 @@ class FilterStack:
         observations = check_observations(observations, self.leaf_positions.shape[1],
                                           self.tree)
         if snapshot_levels is not None:
-            check_levels(snapshot_levels)
+            snapshot_levels = check_levels(snapshot_levels)
         self._t += 1
         # The rebuilds replace the mass array, so this is a snapshot.
         self._prev_masses = self._masses

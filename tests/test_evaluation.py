@@ -267,6 +267,8 @@ def test_summary_rederivable_from_raw_csv(tmp_path):
     ({"eval_level": -1.0}, "snapshot levels must be finite and >= 0"),
     ({"coarse_level": -1.0}, "snapshot levels must be finite and >= 0"),
     ({"eval_level": math.inf}, "snapshot levels must be finite and >= 0"),
+    ({"n_particles": 2.5}, "particle count must be a whole number"),
+    ({"depletion": "0.1"}, r"depletion fraction must be in \[0, 1\)"),
 ])
 def test_run_experiment_checks_config_before_building_the_corpus(monkeypatch, overrides,
                                                                  message):

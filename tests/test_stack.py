@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +85,57 @@ def test_init_rejects_non_leaf_prior(hand_tree):
     with pytest.raises(InvalidInputError):
         FilterStack(hand_tree, dyn, {3: 1.0}, start_point_sampler(hand_tree, trajs),
                     N, 0.0, seed=5)
+
+
+def both_filters(hand_tree):
+    """FilterStack and LeafParticleFilter on the hand tree's leaves, as functions
+    of (prior, particle count)."""
+    trajs = hand_trajectories()
+    leaves = hand_tree.leaves()
+    dyn = build_dynamics(hand_tree, trajs, kappa=0.5, epsilon_floor=0.5)
+    sampler = start_point_sampler(hand_tree, trajs)
+    return [lambda prior, n: FilterStack(hand_tree, dyn, prior, sampler, n, 0.01, seed=5),
+            lambda prior, n: LeafParticleFilter(leaves, {c: dyn[c] for c in leaves}, prior,
+                                                sampler, n, 0.01, 5)]
+
+
+UNIFORM_PRIOR = {0: 1.0, 1: 1.0, 2: 1.0}
+
+
+@pytest.mark.parametrize("prior, message", [
+    ({0: 2.0, 1: -1.0}, "class 1 must be a finite number >= 0"),
+    ({0: np.nan}, "class 0 must be a finite number >= 0"),
+    ({0: np.inf}, "class 0 must be a finite number >= 0"),
+    ({0: "x"}, "class 0 must be a finite number >= 0"),
+    ({0: None}, "class 0 must be a finite number >= 0"),
+    ({0: 0.0}, "finite total > 0"),
+    ({0: 1e308, 1: 1e308}, "finite total > 0"),
+    ({3: 1.0}, "class 3, not one of the filter's classes"),
+])
+def test_init_rejects_bad_prior_in_both_filters(hand_tree, prior, message):
+    for make in both_filters(hand_tree):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=message):
+                make(prior, N)
+
+
+@pytest.mark.parametrize("n_particles, message", [
+    (2.5, "whole number"), ("3", "whole number"), (np.nan, "whole number"),
+    (None, "whole number"), (0, "at least one particle"), (-2.0, "at least one particle"),
+])
+def test_init_rejects_bad_particle_count_in_both_filters(hand_tree, n_particles, message):
+    for make in both_filters(hand_tree):
+        with pytest.raises(InvalidInputError, match=message):
+            make(UNIFORM_PRIOR, n_particles)
+
+
+def test_whole_float_particle_count_matches_int(hand_tree):
+    obs = [FineObservation(np.array([1.0, 0.2]))]
+    for make in both_filters(hand_tree):
+        a, b = make(UNIFORM_PRIOR, 100.0), make(UNIFORM_PRIOR, 100)
+        assert a.n_particles == b.n_particles == 100
+        assert a.step(obs) == b.step(obs)
 
 
 def test_rebuild_unchanged_weights_is_fixed_point(hand_stack):
@@ -512,7 +564,10 @@ BAD_OBSERVATIONS = {
                        FineObservation(np.array([np.nan, 0.2]))],
 }
 BAD_SNAPSHOT_LEVELS = {"negative_snapshot_level": [0.0, -1.0],
-                       "infinite_snapshot_level": [0.0, np.inf]}
+                       "infinite_snapshot_level": [0.0, np.inf],
+                       "string_snapshot_level": ["a"],
+                       "none_snapshot_level": [None],
+                       "scalar_snapshot_levels": 5}
 
 
 def stack_state(stack):
@@ -550,6 +605,15 @@ def test_step_rejects_bad_observation_without_changing_state(hand_tree, name):
     obs = [FineObservation(np.array([2.0, 0.4]))]
     assert stack.step(obs) == twin.step(obs)
     assert np.array_equal(stack.leaf_positions, twin.leaf_positions)
+
+
+def test_snapshot_levels_from_a_generator_match_a_list(hand_tree):
+    make_stack = both_filters(hand_tree)[0]
+    a, b = make_stack(UNIFORM_PRIOR, N), make_stack(UNIFORM_PRIOR, N)
+    obs = [FineObservation(np.array([1.0, 0.2]))]
+    snap = a.step(obs, snapshot_levels=iter([0.0, 1.5]))
+    assert [level["b"] for level in snap["levels"]] == [0.0, 1.5]
+    assert snap == b.step(obs, snapshot_levels=[0.0, 1.5])
 
 
 def test_update_rejects_bad_observation(hand_stack):
