@@ -4,11 +4,12 @@ A trajectory is an ordered sequence of d-dimensional points. The discrete
 Frechet distance between two trajectories is the minimum over monotone
 point couplings of the maximum pointwise Euclidean distance (Eiter and
 Mannila 1994). One dynamic program computes it for a list of trajectory
-pairs at once: the pairs go in blocks of at most _FRECHET_CELL_LIMIT point
-pairs (one trajectory pair if it alone is larger), each block's squared
-point distances are computed once into a reused buffer, and the coupling
-recursion runs over antidiagonals read as strided views of that buffer,
-with one square root at the end.
+pairs at once: the pairs go in blocks of B with B * (P + Q) at most
+_FRECHET_BLOCK_POINTS, each block stored pair-minor so that one antidiagonal
+of every pair's coupling grid is one contiguous slice. The recursion computes
+each antidiagonal's squared point distances as it reaches them, keeps three
+rolling rows, and takes one square root at the end, so no (P, Q) array of
+distances is ever held.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import numpy as np
 
 from .errors import InvalidInputError, record_field
 
-# Pairs are evaluated in blocks of at most this many (point, point) cells, so
-# the squared-distance buffer stays near 1 MB whatever the corpus size.
-_FRECHET_CELL_LIMIT = 1 << 17
+# A block of B pairs holds B * (P + Q) <= this many points (128 pairs of 100-point
+# trajectories), so its scratch stays near 1 MB for planar points at any corpus size.
+_FRECHET_BLOCK_POINTS = 25_600
 
 
 def euclidean(a, b) -> float:
@@ -76,57 +77,53 @@ def _as_points(t) -> np.ndarray:
 
 
 def _frechet_pairs(x: np.ndarray, y: np.ndarray, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
-    """Discrete Frechet distances between x[ia[s]] and y[ib[s]] for every s.
+    """Discrete Frechet distances between x[..., ia[s]] and y[..., ib[s]] for every s.
 
-    `x` (m, d, P) and `y` (n, d, Q) hold trajectories coordinate-major. Each
-    block of pairs gets its squared point distances in one reused (B, P, Q)
-    buffer, summed coordinate by coordinate in coordinate order. Cell (i, j)
-    of the coupling recursion needs C[i, j-1] and C[i-1, j] from antidiagonal
-    k-1 (k = i+j) and C[i-1, j-1] from k-2, so three rolling (B, P+1) rows
-    suffice: slot i+1 holds cell i, and slot 0 and every slot not yet reached
-    stay +inf. Antidiagonal k of a flattened P*Q block is the slice
-    k + lo*(Q-1) : k + hi*(Q-1) + 1 : Q-1, so every step reads and writes
-    views made once, before the first block. The recursion runs on squared
-    distances: sqrt is monotone and correctly rounded, so one sqrt of the
-    min/max result equals the min/max of the rooted distances bit for bit.
+    `x` (d, P, m) and `y` (d, Q, n) hold trajectories pair-minor (point p of
+    trajectory a is x[:, p, a]). A block of B pairs is copied into X (d, P, B)
+    and, points reversed, Yr (d, Q, B): the cells (i, k-i) of antidiagonal k
+    of every pair are then one contiguous slice of each, whose squared point
+    distances are summed in coordinate order as the recursion reaches them.
+    Cell (i, j) needs C[i, j-1] and C[i-1, j] from antidiagonal k-1 and
+    C[i-1, j-1] from k-2, so three rolling (P+1, B) rows suffice: slot i+1
+    holds cell i; slot 0 and every slot not yet reached stay +inf. sqrt is
+    monotone and correctly rounded, so one sqrt of the squared min/max equals
+    the min/max of the roots bit for bit. Besides a reversed copy of `y`,
+    scratch memory is O(d B (P+Q)); no (P, Q) array is made.
     """
-    dim, P = x.shape[1], x.shape[2]
-    Q = y.shape[2]
-    size = max(1, min(len(ia), _FRECHET_CELL_LIMIT // (P * Q)))
-    sq = np.empty((size, P, Q))
-    part = np.empty((P, Q))
-    rows = np.empty((3, size, P + 1))
-    flat = sq.reshape(size, P * Q)
-    stride = max(Q - 1, 1)  # Q == 1: every antidiagonal is one cell
-    steps = []
-    for k in range(1, P + Q - 1):
-        lo, hi = max(0, k - Q + 1), min(k, P - 1)
-        prev, prev2 = rows[(k - 1) % 3], rows[(k - 2) % 3]
-        steps.append((rows[k % 3][:, lo + 1:hi + 2],  # C[i, j] for i in lo..hi
-                      prev[:, lo + 1:hi + 2],  # C[i, j-1]
-                      prev[:, lo:hi + 1],  # C[i-1, j]
-                      prev2[:, lo:hi + 1],  # C[i-1, j-1]
-                      flat[:, k + lo * (Q - 1):k + hi * (Q - 1) + 1:stride]))  # d(i, j)^2
-    out = np.empty(len(ia))
-    for start in range(0, len(ia), size):
-        pa, pb = ia[start:start + size], ib[start:start + size]
-        for s, (a, b) in enumerate(zip(pa, pb)):
-            cell = sq[s]
-            np.subtract.outer(x[a, 0], y[b, 0], out=cell)
-            np.square(cell, out=cell)
-            for c in range(1, dim):
-                np.subtract.outer(x[a, c], y[b, c], out=part)
-                np.square(part, out=part)
-                cell += part
-        # A short last block also runs on the cells its predecessor left
-        # behind; those rows are dropped.
+    dim, P, Q = x.shape[0], x.shape[1], y.shape[1]
+    n = len(ia)
+    size = max(1, min(n, _FRECHET_BLOCK_POINTS // (P + Q)))
+    y_rev = np.ascontiguousarray(y[:, ::-1])
+    X = np.empty((dim, P, size))
+    Yr = np.empty((dim, Q, size))
+    sq = np.empty((dim, min(P, Q), size))
+    rows = np.empty((3, P + 1, size))
+    out = np.empty(n)
+    for start in range(0, n, size):
+        # A short last block is moved back to end at the last pair; the pairs
+        # it shares with its predecessor get the same values again.
+        start = min(start, n - size)
+        np.take(x, ia[start:start + size], axis=2, out=X, mode="clip")
+        np.take(y_rev, ib[start:start + size], axis=2, out=Yr, mode="clip")
         rows.fill(np.inf)
-        rows[0, :, 1] = flat[:, 0]
-        for cur, left, up, diag, dist in steps:
-            np.minimum(left, up, out=cur)
-            np.minimum(cur, diag, out=cur)
+        for k in range(P + Q - 1):
+            lo, hi = max(0, k - Q + 1), min(k, P - 1)
+            diff = sq[:, :hi - lo + 1]
+            np.subtract(X[:, lo:hi + 1], Yr[:, Q - 1 - k + lo:Q - k + hi], out=diff)
+            np.square(diff, out=diff)
+            dist = diff[0]
+            for c in range(1, dim):
+                dist += diff[c]
+            cur = rows[k % 3, lo + 1:hi + 2]  # C[i, j] for i in lo..hi
+            if k == 0:
+                cur[...] = dist
+                continue
+            prev, prev2 = rows[(k - 1) % 3], rows[(k - 2) % 3]
+            np.minimum(prev[lo + 1:hi + 2], prev[lo:hi + 1], out=cur)  # C[i, j-1], C[i-1, j]
+            np.minimum(cur, prev2[lo:hi + 1], out=cur)  # C[i-1, j-1]
             np.maximum(cur, dist, out=cur)
-        out[start:start + len(pa)] = rows[(P + Q - 2) % 3, :len(pa), P]
+        out[start:start + size] = rows[(P + Q - 2) % 3, P]
     return np.sqrt(out, out=out)
 
 
@@ -136,7 +133,7 @@ def frechet_distance(t1, t2) -> float:
     q = _as_points(t2)
     if p.shape[1] != q.shape[1]:
         raise InvalidInputError(f"dimension mismatch: {p.shape[1]} vs {q.shape[1]}")
-    return float(_frechet_pairs(p.T[None], q.T[None], [0], [0])[0])
+    return float(_frechet_pairs(p.T[:, :, None], q.T[:, :, None], [0], [0])[0])
 
 
 def _pad_to(pts: np.ndarray, length: int) -> np.ndarray:
@@ -153,19 +150,17 @@ def distance_matrix(trajectories) -> np.ndarray:
     """All-pairs discrete Frechet matrix.
 
     Trajectories are padded to the longest by repeating their last point and
-    stacked coordinate-major; the upper-triangle pairs, in row-major order,
-    go through one blocked coupling DP (`_frechet_pairs`).
+    stacked pair-minor as (d, P, m); the upper-triangle pairs, in row-major
+    order, go through one blocked coupling DP (`_frechet_pairs`).
     """
     pts = [_as_points(t) for t in trajectories]
     if len(pts) == 0:
         raise InvalidInputError("need at least one trajectory")
-    dim = pts[0].shape[1]
-    for p in pts:
-        if p.shape[1] != dim:
-            raise InvalidInputError("trajectories must share one dimension")
+    if len({p.shape[1] for p in pts}) > 1:
+        raise InvalidInputError("trajectories must share one dimension")
     m = len(pts)
     longest = max(p.shape[0] for p in pts)
-    block = np.stack([_pad_to(p, longest).T for p in pts])
+    block = np.stack([_pad_to(p, longest).T for p in pts], axis=2)
     ia, ib = np.triu_indices(m, 1)
     out = np.zeros((m, m))
     out[ia, ib] = out[ib, ia] = _frechet_pairs(block, block, ia, ib)

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .errors import InvalidInputError
 from .stack import CoarseObservation, FineObservation
@@ -76,15 +77,12 @@ class ClassPointIndex:
         self._points = np.vstack(blocks)
 
     def nearest_distances(self, samples: np.ndarray, class_ids) -> np.ndarray:
-        """(class, sample) Euclidean distance from each sample to the class's nearest point."""
-        points = self._points
-        # Squared distances summed coordinate by coordinate, as a KD-tree
-        # query sums them, so that both give the same bits.
-        sq = np.zeros((len(samples), len(points)))
-        for k in range(points.shape[1]):
-            diff = samples[:, k, None] - points[None, :, k]
-            diff *= diff
-            sq += diff
+        """(class, sample) Euclidean distance from each sample to the class's nearest point.
+
+        One `cdist` call sums the squared differences in coordinate order; numpy's
+        (sample, point) temporaries per coordinate would be page-faulted in on every call.
+        """
+        sq = cdist(samples, self._points, "sqeuclidean")
         leaf_d = np.sqrt(np.minimum.reduceat(sq, self._starts, axis=1)).T  # (leaf, sample)
         member = self.tree.membership[[self.tree.row(c) for c in class_ids]]
         return np.where(member[:, :, None], leaf_d[None], np.inf).min(axis=1)

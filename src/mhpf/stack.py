@@ -221,8 +221,10 @@ def check_levels(levels) -> list:
     except TypeError:
         raise InvalidInputError(
             f"snapshot levels must be a sequence of numbers, got {levels!r}") from None
-    if not all(isinstance(b, numbers.Real) and 0 <= b < math.inf for b in levels):
-        raise InvalidInputError(f"snapshot levels must be finite and >= 0, got {levels!r}")
+    for b in levels:
+        if not (isinstance(b, numbers.Real) and 0 <= b < math.inf):
+            raise InvalidInputError(
+                f"no class is alive at level {b!r}: snapshot levels must be finite and >= 0")
     return levels
 
 
@@ -454,7 +456,7 @@ class FilterStack:
     def _level_probs(self, b: float, probs: np.ndarray):
         """The classes alive at level b and their entries of the row array `probs`."""
         alive = self.tree.alive_ids(b)
-        if not alive:
+        if not alive:  # only a loaded tree with gaps in its levels gets here
             raise InvalidInputError(f"no class is alive at level {b!r}")
         return alive, probs[self.tree.partition(alive).rows].tolist()
 
@@ -465,6 +467,7 @@ class FilterStack:
 
     def map_class(self, b: float) -> int:
         """Highest-probability alive class at level b (ties: birth, then id)."""
+        (b,) = check_levels([b])
         return self._most_probable(*self._level_probs(b, self._node_probs(self._masses)))
 
     def point_estimate(self) -> np.ndarray:
@@ -472,6 +475,10 @@ class FilterStack:
         return weighted_mean(self.leaf_positions, self.leaf_weights)
 
     def snapshot(self, levels=None) -> dict:
+        """Class probabilities and MAP class per level (default: every birth), point estimate."""
+        return self._snapshot(None if levels is None else check_levels(levels))
+
+    def _snapshot(self, levels) -> dict:
         if levels is None:
             levels = self.tree.unique_births()
         probs = self._node_probs(self._masses)
@@ -508,7 +515,7 @@ class FilterStack:
         self.predict()
         for obs in observations:
             self._apply(obs)
-        snap = self.snapshot(snapshot_levels)
+        snap = self._snapshot(snapshot_levels)
         self.resample()
         return snap
 

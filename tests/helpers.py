@@ -191,3 +191,21 @@ def random_corpus(rng, lattice: bool) -> list[Trajectory]:
                                 axis=0)
         out.append(Trajectory(f"r{i}", np.round(pts) if lattice else pts))
     return out
+
+
+def reference_nearest_distances(tree, trajectories, samples: np.ndarray, class_ids) -> np.ndarray:
+    """(class, sample) distance from each sample to the class's nearest member point.
+
+    One class at a time, over the points of the trajectories it holds; each
+    squared distance is summed coordinate by coordinate in coordinate order.
+    """
+    by_id = {t.id: t for t in trajectories}
+    out = np.empty((len(class_ids), len(samples)))
+    for r, c in enumerate(class_ids):
+        points = np.vstack([by_id[m].points for m in sorted(tree.nodes[c].members)])
+        sq = np.zeros((len(samples), len(points)))
+        for k in range(points.shape[1]):
+            diff = samples[:, k, None] - points[None, :, k]
+            sq += diff * diff
+        out[r] = np.sqrt(sq.min(axis=1))
+    return out

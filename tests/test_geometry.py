@@ -167,11 +167,12 @@ ORACLE_SETS = {
 @pytest.mark.parametrize("pairs_per_block", [1, 3, 4, None])
 def test_kernel_matches_reference_dp_bit_for_bit(monkeypatch, name, pairs_per_block):
     # 7 trajectories give 21 pairs: single-pair blocks, 7 full blocks of 3,
-    # 5 blocks of 4 and a short last block of 1, or one block at the default.
+    # 5 blocks of 4 and a short last block of 1 (run as pairs 17..20, three
+    # of them shared with its predecessor), or one block at the default.
     trajs = ORACLE_SETS[name]()
     if pairs_per_block is not None:
-        longest = max(len(t) for t in trajs)
-        monkeypatch.setattr(geometry, "_FRECHET_CELL_LIMIT", pairs_per_block * longest * longest)
+        longest = max(len(t) for t in trajs)  # every pair is padded to P = Q = longest
+        monkeypatch.setattr(geometry, "_FRECHET_BLOCK_POINTS", pairs_per_block * 2 * longest)
     m = len(trajs)
     expected = np.array([[reference_frechet(trajs[i], trajs[j]) for j in range(m)]
                          for i in range(m)])
@@ -181,11 +182,35 @@ def test_kernel_matches_reference_dp_bit_for_bit(monkeypatch, name, pairs_per_bl
     assert np.array_equal(pairwise, expected)
 
 
+@pytest.mark.parametrize("lengths", [(170, 300), (300, 170)])
+def test_unequal_lengths_match_reference_dp_bit_for_bit(lengths):
+    # P != Q: antidiagonals of every length from 1 to min(P, Q), and the long
+    # middle stretch where they neither start at row 0 nor end at row P-1.
+    rng = np.random.default_rng(sum(lengths))
+    p, q = (np.cumsum(rng.normal(size=(n, 2)), axis=0) for n in lengths)
+    assert frechet_distance(p, q) == reference_frechet(p, q)
+
+
+def test_long_pair_scratch_memory_is_linear_in_length():
+    # A 2000 x 2000 pair used to allocate a 32 MB (P, Q) buffer of squared
+    # distances; the antidiagonal kernel holds O(P + Q) scratch.
+    rng = np.random.default_rng(2000)
+    p, q = (np.cumsum(rng.normal(size=(2000, 2)), axis=0) for _ in range(2))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        frechet_distance(p, q)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_000_000
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("m", [60, 120])
 def test_distance_matrix_scratch_memory_stays_bounded(m):
-    # The block buffer is capped by _FRECHET_CELL_LIMIT; only the index and
-    # output arrays grow with the number of trajectories.
+    # The block scratch arrays are capped by _FRECHET_BLOCK_POINTS; only the
+    # corpus, index and output arrays grow with the number of trajectories.
     rng = np.random.default_rng(m)
     trajs = [np.cumsum(rng.normal(size=(100, 2)), axis=0) for _ in range(m)]
     tracemalloc.start()

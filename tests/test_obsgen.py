@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from helpers import reference_nearest_distances
 from mhpf.errors import InvalidInputError
+from mhpf.evaluation import ExperimentConfig, load_corpus
 from mhpf.filtration import single_linkage
 from mhpf.geometry import distance_matrix
 from mhpf.obsgen import (ClassPointIndex, ObsConfig, bbox_diagonal, default_coarse_level,
@@ -50,6 +52,24 @@ def test_fine_offset_mean():
     se = width / np.sqrt(12.0 * n)
     assert abs(offs[:, 0].mean() - width / 2.0) < 3 * se
     assert abs(offs[:, 1].mean() - width / 2.0) < 3 * se
+
+
+def test_nearest_distances_match_per_coordinate_reference():
+    corpus = load_corpus(ExperimentConfig(corpus_kind="obstacle", corpus_seed=7))
+    tree = single_linkage(distance_matrix(corpus), member_ids=[t.id for t in corpus])
+    index = ClassPointIndex(tree, corpus)
+    rng = np.random.default_rng(8)
+    scale = bbox_diagonal(corpus)
+    births = tree.unique_births()
+    for level in (births[0], births[len(births) // 2], births[-1]):
+        alive = tree.alive_ids(level)
+        for t in range(12):
+            z = corpus[int(rng.integers(len(corpus)))].points[int(rng.integers(100))]
+            # Near the corpus (noise on the scale of coarse observations), then far outside it.
+            spread = 0.01 * scale if t % 2 else 10.0 * scale
+            samples = z + rng.normal(0.0, spread, size=(10, 2))
+            assert np.array_equal(index.nearest_distances(samples, alive),
+                                  reference_nearest_distances(tree, corpus, samples, alive))
 
 
 def test_coarse_zero_noise_picks_containing_class(fixed_corpus, fixed_tree):

@@ -616,6 +616,20 @@ def test_snapshot_levels_from_a_generator_match_a_list(hand_tree):
     assert snap == b.step(obs, snapshot_levels=[0.0, 1.5])
 
 
+@pytest.mark.parametrize("name", list(BAD_SNAPSHOT_LEVELS))
+def test_snapshot_query_rejects_bad_levels(hand_stack, name):
+    # Without the check, ["a"] raised ValueError and a bare 5 raised TypeError.
+    with pytest.raises(InvalidInputError, match="snapshot levels"):
+        hand_stack.snapshot(BAD_SNAPSHOT_LEVELS[name])
+
+
+@pytest.mark.parametrize("level", ["a", None, -1.0, np.inf, float("nan"), [0.0]])
+def test_map_class_rejects_bad_level(hand_stack, level):
+    # Without the check, "a" raised TypeError from the alive-set comparison.
+    with pytest.raises(InvalidInputError, match="snapshot levels"):
+        hand_stack.map_class(level)
+
+
 def test_update_rejects_bad_observation(hand_stack):
     before = stack_state(hand_stack)
     for name in ("nan_position", "3d_position", "dead_class"):
