@@ -11,7 +11,9 @@ stack's bookkeeping.
 
 The harness sweeps noise cells over scenarios x repeats, records per-step
 squared error and tree-class distance of the MAP prediction against the
-ground truth, and summarizes cells with rank-sum tests against BL1.
+ground truth, and summarizes cells with rank-sum tests against BL1: the
+two-sided normal approximation with averaged tie ranks and no tie correction,
+the same p-values as scipy.stats.ranksums.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import InitVar, dataclass, field
 from functools import partial
 
 import numpy as np
+from scipy.special import ndtr
 
 from . import datasets
 from .dynamics import build_dynamics, check_epsilon_floor, check_kappa
@@ -340,8 +343,11 @@ _RUNNERS = {"mhpf": run_mhpf, "bl1": run_bl1, "bl2": run_bl2}
 
 # -- experiment harness ----------------------------------------------------------
 
-RAW_FIELDS = ["mode", "kappa", "psi", "lead_in", "scenario", "repeat", "filter",
-              "step", "mse", "tree_distance", "root_birth"]
+# Raw CSV columns, in file order, with the type parse_raw_rows reads each as.
+_RAW_TYPES = {"mode": str, "kappa": float, "psi": float, "lead_in": float, "scenario": int,
+              "repeat": int, "filter": str, "step": int, "mse": float, "tree_distance": float,
+              "root_birth": float}
+RAW_FIELDS = list(_RAW_TYPES)
 SUMMARY_FIELDS = ["mode", "kappa", "psi", "lead_in", "filter", "runs",
                   "mean_mse", "sd_mse", "mean_tree_distance", "sd_tree_distance",
                   "mean_final_quarter_distance", "mean_convergence_steps",
@@ -476,8 +482,38 @@ def run_experiment(cfg: ExperimentConfig, corpus=None, scenarios=None):
     return raw, summarize(raw)
 
 
+def ranksum_p(x, y) -> float:
+    """Two-sided Wilcoxon rank-sum p-value of two non-empty samples.
+
+    The normal approximation to the rank sum of x, with tied values given
+    their average rank and no tie correction to the variance. The arithmetic
+    follows scipy.stats.ranksums step for step, so the p-values agree with it
+    bit for bit. A NaN in either sample gives NaN, as there.
+    """
+    x, y = np.asarray(x), np.asarray(y)
+    n1, n2 = len(x), len(y)
+    data = np.concatenate((x, y))
+    if np.isnan(data).any():
+        return math.nan
+    order = np.argsort(data, kind="stable")
+    ordered = data[order]
+    first = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    counts = np.diff(first, append=data.size)
+    ranks = np.empty(data.size)
+    ranks[order] = np.repeat(first + 1 + (counts - 1) / 2, counts)
+    s = np.sum(ranks[:n1])
+    expected = n1 * (n1 + n2 + 1) / 2.0
+    z = (s - expected) / np.sqrt(n1 * n2 * (n1 + n2 + 1) / 12.0)
+    return float(2 * ndtr(-abs(z)))
+
+
 def summarize(raw_rows):
-    """Per-cell, per-filter aggregates recomputed purely from raw rows."""
+    """Per-cell, per-filter aggregates recomputed purely from raw rows.
+
+    Each MHPF row gets rank-sum p-values against BL1 over its per-scenario
+    means (ranksum_p: two-sided normal approximation, averaged ties, no tie
+    correction, as scipy.stats.ranksums).
+    """
     series: dict = {}
     for row in raw_rows:
         cell = (row["mode"], row["kappa"], row["psi"], row["lead_in"])
@@ -518,17 +554,13 @@ def summarize(raw_rows):
         }
         bl1 = groups.get((cell, "bl1"))
         if kind == "mhpf" and bl1 is not None:
-            # Loaded here, not at module level: only these p-values need
-            # scipy.stats, and a process that only tracks should not pay for
-            # its import (about a third of mhpf.cli's resident memory).
-            from scipy.stats import ranksums
             for metric, col in (("mean_mse", "p_mse_vs_bl1"),
                                 ("mean_dist", "p_dist_vs_bl1"),
                                 ("conv", "p_conv_vs_bl1")):
                 a = scenario_means(by_scenario, metric)
                 b = scenario_means(bl1, metric)
                 if len(a) >= 2 and len(b) >= 2:
-                    row[col] = float(ranksums(a, b).pvalue)
+                    row[col] = ranksum_p(a, b)
         out.append(row)
     return out
 
@@ -547,14 +579,22 @@ def read_csv(path) -> list[dict]:
 
 
 def parse_raw_rows(rows) -> list[dict]:
-    """Re-type raw CSV rows so summaries can be recomputed from disk."""
+    """Re-type raw CSV rows so summaries can be recomputed from disk.
+
+    A row that lacks a column, or holds a value that does not parse as the
+    column's type, raises InvalidInputError naming the row index and column.
+    """
     out = []
-    for r in rows:
-        out.append({
-            "mode": r["mode"], "kappa": float(r["kappa"]), "psi": float(r["psi"]),
-            "lead_in": float(r["lead_in"]), "scenario": int(r["scenario"]),
-            "repeat": int(r["repeat"]), "filter": r["filter"], "step": int(r["step"]),
-            "mse": float(r["mse"]), "tree_distance": float(r["tree_distance"]),
-            "root_birth": float(r["root_birth"]),
-        })
+    for i, r in enumerate(rows):
+        rec = {}
+        for col, kind in _RAW_TYPES.items():
+            value = r.get(col)
+            if value is None:
+                raise InvalidInputError(f"raw row {i}: missing column {col!r}")
+            try:
+                rec[col] = kind(value)
+            except (TypeError, ValueError):
+                raise InvalidInputError(f"raw row {i}: column {col!r}: cannot read "
+                                        f"{value!r} as {kind.__name__}") from None
+        out.append(rec)
     return out

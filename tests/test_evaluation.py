@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ranksums
 
 from mhpf import evaluation
 from mhpf.dynamics import build_dynamics
@@ -12,7 +13,8 @@ from mhpf.evaluation import (ExperimentConfig, LeafParticleFilter, RAW_FIELDS,
                              RunParams, SUMMARY_FIELDS, build_scenario,
                              convergence_time, make_observation_plan, map_tree_distance,
                              mean_spacing, mse, parse_raw_rows, read_csv, run_bl1,
-                             run_bl2, run_experiment, run_mhpf, summarize, write_csv)
+                             run_bl2, run_experiment, run_mhpf, ranksum_p, summarize,
+                             write_csv)
 from mhpf.filtration import flat_tree, single_class_tree
 from mhpf.obsgen import bbox_diagonal, gen_fine
 from mhpf.seeding import PHASE_OBSERVE, child_seed, substream
@@ -251,6 +253,72 @@ def test_summary_rederivable_from_raw_csv(tmp_path):
     write_csv(path, raw, RAW_FIELDS)
     reparsed = parse_raw_rows(read_csv(path))
     assert summarize(reparsed) == summary
+
+
+RAW_CSV_ROW = {"mode": "mixed", "kappa": "0.3", "psi": "0.02", "lead_in": "0.0",
+               "scenario": "1", "repeat": "0", "filter": "mhpf", "step": "3", "mse": "0.5",
+               "tree_distance": "1.0", "root_birth": "4.0"}
+
+
+def test_parse_raw_rows_names_a_missing_column():
+    rows = [dict(RAW_CSV_ROW) for _ in range(3)]
+    del rows[2]["kappa"]
+    with pytest.raises(InvalidInputError, match="raw row 2: missing column 'kappa'"):
+        parse_raw_rows(rows)
+
+
+def test_parse_raw_rows_names_a_short_row(tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text(",".join(RAW_FIELDS) + "\nmixed,0.3,0.02\n")
+    with pytest.raises(InvalidInputError, match="raw row 0: missing column 'lead_in'"):
+        parse_raw_rows(read_csv(path))
+
+
+@pytest.mark.parametrize("col, value, kind", [
+    ("psi", "x", "float"), ("scenario", "1.5", "int"), ("mse", "", "float")])
+def test_parse_raw_rows_names_a_value_of_the_wrong_type(col, value, kind):
+    rows = [dict(RAW_CSV_ROW) for _ in range(3)]
+    rows[1][col] = value
+    with pytest.raises(InvalidInputError,
+                       match=f"raw row 1: column '{col}': cannot read '{value}' as {kind}"):
+        parse_raw_rows(rows)
+
+
+def ranksum_pairs():
+    """Seeded sample pairs of sizes 2 to 30: normal, tie-heavy integer, with ±inf."""
+    rng = np.random.default_rng(1401)
+    for i in range(2400):
+        n1, n2 = rng.integers(2, 31, size=2)
+        if i % 2:
+            x, y = rng.integers(0, 4, n1).astype(float), rng.integers(0, 4, n2).astype(float)
+        else:
+            x, y = rng.normal(size=n1), rng.normal(size=n2)
+        if i % 5 == 0:
+            x[rng.integers(n1)] = rng.choice([-np.inf, np.inf])
+        if i % 7 == 0:
+            y[rng.integers(n2)] = rng.choice([-np.inf, np.inf])
+        yield x, y
+
+
+def test_ranksum_p_matches_scipy_bit_for_bit():
+    for x, y in ranksum_pairs():
+        assert ranksum_p(x, y) == float(ranksums(x, y).pvalue), (x, y)
+        assert ranksum_p(list(x), list(y)) == ranksum_p(x, y)
+
+
+@pytest.mark.parametrize("x, y", [
+    ([2.0, 2.0], [2.0, 2.0, 2.0]), ([-1.5] * 30, [-1.5] * 30),
+    ([np.inf, np.inf], [np.inf]), ([-np.inf] * 3, [-np.inf, -np.inf])])
+def test_ranksum_p_is_one_on_all_equal_samples(x, y):
+    assert ranksum_p(x, y) == 1.0 == float(ranksums(x, y).pvalue)
+
+
+@pytest.mark.parametrize("x, y", [
+    ([np.nan, 1.0, 2.0], [3.0, 4.0]), ([1.0, 2.0], [3.0, np.nan]),
+    ([np.nan, np.nan], [np.nan, np.nan]), ([np.nan, np.inf], [1.0, 1.0])])
+def test_ranksum_p_propagates_nan(x, y):
+    assert math.isnan(ranksum_p(x, y))
+    assert math.isnan(float(ranksums(x, y).pvalue))
 
 
 @pytest.mark.parametrize("overrides, message", [
