@@ -15,6 +15,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import InvalidInputError
+from .geometry import check_common_dim
 
 # Query batches are evaluated against the full sample set in dense blocks of
 # at most this many (query, sample) pairs; larger batches are chunked.
@@ -132,17 +133,13 @@ def harvest_samples(trajectories):
     """(positions, velocities) pairs from consecutive points of each trajectory.
 
     A trajectory of P points contributes P-1 samples with velocity
-    next - current; single-point trajectories contribute nothing.
+    next - current (its cached `velocities`); single-point trajectories
+    contribute nothing.
     """
-    pos, vel = [], []
-    for t in trajectories:
-        pts = t.points
-        if len(pts) >= 2:
-            pos.append(pts[:-1])
-            vel.append(np.diff(pts, axis=0))
-    if not pos:
+    if not any(len(t) >= 2 for t in trajectories):
         return np.empty((0, 0)), np.empty((0, 0))
-    return np.vstack(pos), np.vstack(vel)
+    return (np.concatenate([t.points[:-1] for t in trajectories]),
+            np.concatenate([t.velocities for t in trajectories]))
 
 
 def build_dynamics(tree, trajectories, kappa: float, epsilon_floor: float,
@@ -155,6 +152,7 @@ def build_dynamics(tree, trajectories, kappa: float, epsilon_floor: float,
     0, so the floor is what keeps their balls non-degenerate).
     """
     check_epsilon_floor(epsilon_floor)
+    check_common_dim(trajectories)
     by_id = {t.id: t for t in trajectories}
     out: dict[int, ClassDynamics] = {}
     for nid in sorted(set(tree.leaves()) | {tree.root}):
@@ -167,7 +165,8 @@ def build_dynamics(tree, trajectories, kappa: float, epsilon_floor: float,
         if positions.size == 0:
             raise InvalidInputError(f"class {nid} has no dynamics samples "
                                     "(all member trajectories are single points)")
-        scale = float(np.sqrt((velocities ** 2).sum(axis=1)).mean())
+        # The members' cached speeds, in sample order: the row norms of `velocities`.
+        scale = float(np.concatenate([t.speeds for t in member_trajs]).mean())
         out[nid] = ClassDynamics(
             class_id=nid,
             positions=positions,

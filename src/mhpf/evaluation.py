@@ -214,6 +214,9 @@ def build_scenario(trajectories, truth_index: int, epsilon_floor: float | None =
         raise InvalidInputError(f"truth index {truth_index} out of range")
     if full_matrix is None:
         full_matrix = distance_matrix(trajectories)
+    elif np.shape(full_matrix) != (len(trajectories),) * 2:
+        raise InvalidInputError(f"full_matrix shape {np.shape(full_matrix)} does not match "
+                                f"{len(trajectories)} trajectories")
     truth = trajectories[truth_index]
     if holdout:
         keep = [i for i in range(len(trajectories)) if i != truth_index]

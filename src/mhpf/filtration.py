@@ -290,7 +290,8 @@ def single_linkage(d, member_ids=None) -> ClusterTree:
     Repeatedly merges the pair of active clusters at minimum distance,
     breaking ties by the lexicographically smallest (i, j) node-id pair, and
     updates distances with the pointwise minimum rule. Merge distances become
-    birth indices; leaves are born at 0 and the root never dies.
+    birth indices; leaves are born at 0 and the root never dies. Member ids
+    must be distinct.
     """
     d = validate_distance_matrix(d)
     m = d.shape[0]
@@ -298,6 +299,11 @@ def single_linkage(d, member_ids=None) -> ClusterTree:
         member_ids = [str(i) for i in range(m)]
     if len(member_ids) != m:
         raise InvalidInputError("member_ids length must match matrix size")
+    seen = set()
+    for mid in member_ids:
+        if mid in seen:
+            raise InvalidInputError(f"duplicate member id {mid!r}")
+        seen.add(mid)
 
     total = 2 * m - 1
     nodes: dict[int, ClusterNode] = {}
@@ -312,28 +318,20 @@ def single_linkage(d, member_ids=None) -> ClusterTree:
         nodes[0] = ClusterNode(0, members[0], 0.0, math.inf, None, ())
         return ClusterTree(nodes, 0)
 
-    # Working matrix indexed by node id; inactive rows masked to +inf.
+    # Working matrix indexed by node id. The diagonal and the rows and columns
+    # of nodes not active (merged away, or not yet created) hold +inf, so the
+    # first minimum of the whole matrix in row-major order is the active pair
+    # at minimum distance with the smallest i, then the smallest j > i.
     work = np.full((total, total), np.inf)
     work[:m, :m] = d
     np.fill_diagonal(work, np.inf)
-    active = np.zeros(total, dtype=bool)
-    active[:m] = True
 
     deaths = {}
     parents = {}
-    next_id = m
-    for _ in range(m - 1):
-        sub = work[np.ix_(active, active)]
-        flat = int(np.argmin(sub))
-        ids = np.flatnonzero(active)
-        i = int(ids[flat // sub.shape[0]])
-        j = int(ids[flat % sub.shape[0]])
-        if i > j:
-            i, j = j, i
+    for nid in range(m, total):
+        i, j = divmod(int(work.argmin()), total)
         dist = float(work[i, j])
 
-        nid = next_id
-        next_id += 1
         members[nid] = members[i] | members[j]
         births[nid] = dist
         children[nid] = (i, j)
@@ -343,14 +341,12 @@ def single_linkage(d, member_ids=None) -> ClusterTree:
         parents[j] = nid
 
         merged = np.minimum(work[i], work[j])
-        work[nid, :] = merged
-        work[:, nid] = merged
-        work[nid, nid] = np.inf
-        active[i] = False
-        active[j] = False
-        active[nid] = True
+        merged[i] = merged[j] = np.inf
+        work[i] = work[j] = np.inf
+        work[:, i] = work[:, j] = np.inf
+        work[nid] = work[:, nid] = merged
 
-    root = next_id - 1
+    root = total - 1
     for nid in range(total):
         nodes[nid] = ClusterNode(
             id=nid,

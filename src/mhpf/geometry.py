@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,9 +36,19 @@ def euclidean(a, b) -> float:
     return float(np.sqrt(np.sum((a - b) ** 2)))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """An identified, ordered, finite sequence of d-dimensional points."""
+    """An identified, ordered, finite sequence of d-dimensional points.
+
+    The points are a read-only copy, so the per-trajectory facts derived from
+    them (`velocities`, `speeds`, `bounds`) are computed once, on first use,
+    and shared by every corpus, tree and scenario that holds the trajectory.
+    """
 
     id: str
     points: np.ndarray
@@ -48,9 +59,12 @@ class Trajectory:
             raise InvalidInputError(f"trajectory {self.id!r}: points must be a non-empty (n, d) array")
         if not np.all(np.isfinite(pts)):
             raise InvalidInputError(f"trajectory {self.id!r}: non-finite coordinates")
-        pts = pts.copy()
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", _read_only(pts.copy()))
+
+    def __reduce__(self):
+        # Unpickled arrays are writable; rebuilding through __post_init__ makes
+        # the points read-only again, and leaves the cached facts to be recomputed.
+        return Trajectory, (self.id, self.points)
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -59,10 +73,23 @@ class Trajectory:
     def dim(self) -> int:
         return self.points.shape[1]
 
+    @cached_property
+    def velocities(self) -> np.ndarray:
+        """(n-1, d) read-only consecutive differences next - current."""
+        return _read_only(np.diff(self.points, axis=0))
+
+    @cached_property
+    def speeds(self) -> np.ndarray:
+        """(n-1,) read-only Euclidean lengths of `velocities`."""
+        return _read_only(np.sqrt((self.velocities ** 2).sum(axis=1)))
+
+    @cached_property
+    def bounds(self) -> np.ndarray:
+        """(2, d) read-only per-coordinate minimum (row 0) and maximum (row 1)."""
+        return _read_only(np.stack([self.points.min(axis=0), self.points.max(axis=0)]))
+
     def arc_length(self) -> float:
-        if len(self) < 2:
-            return 0.0
-        return float(np.sqrt((np.diff(self.points, axis=0) ** 2).sum(axis=1)).sum())
+        return float(self.speeds.sum())
 
 
 def _as_points(t) -> np.ndarray:
@@ -136,6 +163,15 @@ def frechet_distance(t1, t2) -> float:
     return float(_frechet_pairs(p.T[:, :, None], q.T[:, :, None], [0], [0])[0])
 
 
+def check_common_dim(trajectories) -> None:
+    """Reject an empty list of trajectories or (n, d) arrays, or one of mixed dimensions."""
+    dims = {t.shape[1] if isinstance(t, np.ndarray) else t.dim for t in trajectories}
+    if not dims:
+        raise InvalidInputError("need at least one trajectory")
+    if len(dims) > 1:
+        raise InvalidInputError(f"trajectories must share one dimension, got {sorted(dims)}")
+
+
 def _pad_to(pts: np.ndarray, length: int) -> np.ndarray:
     # Repeating the final point leaves the discrete Frechet distance unchanged:
     # couplings may dwell on a point, so stuttered sequences realize pairings of
@@ -154,10 +190,7 @@ def distance_matrix(trajectories) -> np.ndarray:
     order, go through one blocked coupling DP (`_frechet_pairs`).
     """
     pts = [_as_points(t) for t in trajectories]
-    if len(pts) == 0:
-        raise InvalidInputError("need at least one trajectory")
-    if len({p.shape[1] for p in pts}) > 1:
-        raise InvalidInputError("trajectories must share one dimension")
+    check_common_dim(pts)
     m = len(pts)
     longest = max(p.shape[0] for p in pts)
     block = np.stack([_pad_to(p, longest).T for p in pts], axis=2)
@@ -193,10 +226,12 @@ def save_trajectories(path, trajectories) -> None:
 def load_trajectories(path) -> list[Trajectory]:
     """Read newline-delimited trajectory records.
 
-    A record that is not an object, lacks `id` or `points`, or has ragged,
-    non-numeric or mixed-dimension points raises InvalidInputError naming its line.
+    A record that is not an object, lacks `id` or `points`, has ragged,
+    non-numeric or mixed-dimension points, or repeats an earlier record's id
+    raises InvalidInputError naming its line.
     """
     out: list[Trajectory] = []
+    first_line: dict[str, int] = {}
     dim = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -214,6 +249,10 @@ def load_trajectories(path) -> list[Trajectory]:
                 dim = t.dim
             elif t.dim != dim:
                 raise InvalidInputError(f"{where}: dimension {t.dim} != {dim}")
+            if t.id in first_line:
+                raise InvalidInputError(f"{where}: duplicate trajectory id {t.id!r} "
+                                        f"(first on line {first_line[t.id]})")
+            first_line[t.id] = lineno
             out.append(t)
     if not out:
         raise InvalidInputError(f"{path}: no trajectory records")

@@ -18,6 +18,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import InvalidInputError
+from .geometry import check_common_dim
 from .stack import CoarseObservation, FineObservation
 
 # Gaussian samples drawn around the truth for one coarse observation.
@@ -49,8 +50,9 @@ class ObsConfig:
 
 def bbox_diagonal(trajectories) -> float:
     """Diagonal of the axis-aligned bounding box of all trajectory points."""
-    pts = np.vstack([t.points for t in trajectories])
-    span = pts.max(axis=0) - pts.min(axis=0)
+    check_common_dim(trajectories)
+    bounds = np.stack([t.bounds for t in trajectories])  # (trajectory, min|max, d)
+    span = bounds[:, 1].max(axis=0) - bounds[:, 0].min(axis=0)
     return float(np.sqrt((span ** 2).sum()))
 
 
@@ -69,12 +71,13 @@ class ClassPointIndex:
     """
 
     def __init__(self, tree, trajectories):
+        check_common_dim(trajectories)
         self.tree = tree
         by_id = {t.id: t for t in trajectories}
-        blocks = [np.vstack([by_id[m].points for m in sorted(tree.nodes[c].members)])
-                  for c in tree.leaves()]
-        self._starts = np.cumsum([0] + [len(b) for b in blocks[:-1]])
-        self._points = np.vstack(blocks)
+        members = [[by_id[m] for m in sorted(tree.nodes[c].members)] for c in tree.leaves()]
+        sizes = [sum(len(t) for t in ts) for ts in members]
+        self._starts = np.cumsum([0] + sizes[:-1])
+        self._points = np.concatenate([t.points for ts in members for t in ts])
 
     def nearest_distances(self, samples: np.ndarray, class_ids) -> np.ndarray:
         """(class, sample) Euclidean distance from each sample to the class's nearest point.

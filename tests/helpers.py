@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 
+from mhpf.filtration import ClusterNode, ClusterTree
 from mhpf.geometry import Trajectory, euclidean
 
 
@@ -82,6 +83,75 @@ def naive_single_linkage(d: np.ndarray):
         clusters.add(merged)
         merges.append((dist, merged))
     return merges
+
+
+def reference_single_linkage(d: np.ndarray, member_ids=None) -> ClusterTree:
+    """Single linkage over the active block, copied out with np.ix_ before every merge.
+
+    Merges the first minimum of the active x active block in row-major order
+    (the lexicographically smallest closest pair), so it builds the same
+    nodes as `single_linkage` from a valid distance matrix.
+    """
+    m = d.shape[0]
+    if member_ids is None:
+        member_ids = [str(i) for i in range(m)]
+    if m == 1:
+        return ClusterTree({0: ClusterNode(0, frozenset(member_ids), 0.0, math.inf, None, ())}, 0)
+    total = 2 * m - 1
+    members = {i: frozenset([member_ids[i]]) for i in range(m)}
+    births = dict.fromkeys(range(m), 0.0)
+    children, deaths, parents = {}, {}, {}
+    work = np.full((total, total), np.inf)
+    work[:m, :m] = d
+    np.fill_diagonal(work, np.inf)
+    active = np.zeros(total, dtype=bool)
+    active[:m] = True
+    for nid in range(m, total):
+        sub = work[np.ix_(active, active)]
+        flat = int(np.argmin(sub))
+        ids = np.flatnonzero(active)
+        i, j = sorted((int(ids[flat // sub.shape[0]]), int(ids[flat % sub.shape[0]])))
+        dist = float(work[i, j])
+        members[nid] = members[i] | members[j]
+        births[nid] = dist
+        children[nid] = (i, j)
+        deaths[i] = deaths[j] = dist
+        parents[i] = parents[j] = nid
+        merged = np.minimum(work[i], work[j])
+        work[nid, :] = merged
+        work[:, nid] = merged
+        work[nid, nid] = np.inf
+        active[i] = active[j] = False
+        active[nid] = True
+    nodes = {nid: ClusterNode(nid, members[nid], births[nid], deaths.get(nid, math.inf),
+                              parents.get(nid), children.get(nid, ()))
+             for nid in range(total)}
+    return ClusterTree(nodes, total - 1)
+
+
+def reference_harvest(trajectories):
+    """(positions, velocities, velocity scale) from np.vstack over np.diff of each trajectory.
+
+    Single-point trajectories contribute no samples; the scale is the mean of
+    the row norms of the stacked velocities.
+    """
+    multi = [t.points for t in trajectories if len(t) >= 2]
+    velocities = np.vstack([np.diff(p, axis=0) for p in multi])
+    scale = float(np.sqrt((velocities ** 2).sum(axis=1)).mean())
+    return np.vstack([p[:-1] for p in multi]), velocities, scale
+
+
+def reference_bbox_diagonal(trajectories) -> float:
+    """Bounding-box diagonal from the min and max over all points stacked together."""
+    pts = np.vstack([t.points for t in trajectories])
+    span = pts.max(axis=0) - pts.min(axis=0)
+    return float(np.sqrt((span ** 2).sum()))
+
+
+def reference_mean_spacing(trajectories) -> float:
+    """Mean over multi-point trajectories of arc length per step, from np.diff."""
+    return float(np.mean([np.sqrt((np.diff(t.points, axis=0) ** 2).sum(axis=1)).sum()
+                          / (len(t) - 1) for t in trajectories if len(t) >= 2]))
 
 
 def walk_lca(tree, a: int, b: int) -> int:
@@ -191,6 +261,30 @@ def random_corpus(rng, lattice: bool) -> list[Trajectory]:
                                 axis=0)
         out.append(Trajectory(f"r{i}", np.round(pts) if lattice else pts))
     return out
+
+
+def ragged_corpus(rng, dim: int):
+    """Random walks of 1 to 8 points in `dim` dimensions, and a two-level tree over them.
+
+    Every leaf of the tree pools two or three trajectories, one with at least
+    two points, so each class has dynamics samples while single-point
+    members still occur.
+    """
+    groups, corpus = [], []
+    for g in range(int(rng.integers(2, 6))):
+        lengths = [int(rng.integers(2, 9))]
+        lengths += [int(rng.integers(1, 9)) for _ in range(rng.integers(1, 3))]
+        ids = []
+        for n in lengths:
+            ids.append(f"g{g}t{len(ids)}")
+            corpus.append(Trajectory(ids[-1], np.cumsum(rng.normal(size=(n, dim)), axis=0)))
+        groups.append(frozenset(ids))
+    root = len(groups)
+    nodes = {k: ClusterNode(k, members, 0.0, 1.0, root, ()) for k, members in enumerate(groups)}
+    nodes[root] = ClusterNode(root, frozenset().union(*groups), 1.0, math.inf, None,
+                              tuple(range(root)))
+    order = rng.permutation(len(corpus))
+    return [corpus[k] for k in order], ClusterTree(nodes, root)
 
 
 def reference_nearest_distances(tree, trajectories, samples: np.ndarray, class_ids) -> np.ndarray:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from helpers import ragged_corpus, reference_harvest
+
 from mhpf import dynamics
 from mhpf.dynamics import ClassDynamics, build_dynamics, harvest_samples
 from mhpf.errors import InvalidInputError
@@ -38,6 +40,21 @@ def test_harvest_counts_and_velocities():
     pos, vel = harvest_samples([t])
     assert pos.shape == (2, 2)
     assert np.array_equal(vel, np.array([[1.0, 0.0], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_build_matches_reference_harvest_bit_for_bit(dim):
+    rng = np.random.default_rng(40 + dim)
+    for _ in range(10):
+        corpus, tree = ragged_corpus(rng, dim)
+        by_id = {t.id: t for t in corpus}
+        dyn = build_dynamics(tree, corpus, kappa=0.0, epsilon_floor=0.5)
+        for nid, d in dyn.items():
+            positions, velocities, scale = reference_harvest(
+                [by_id[m] for m in sorted(tree.nodes[nid].members)])
+            assert np.array_equal(d.positions, positions)
+            assert np.array_equal(d.velocities, velocities)
+            assert d.velocity_scale == scale
 
 
 def test_build_epsilon_rule():

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.stats import ranksums
 
+from helpers import ragged_corpus, reference_bbox_diagonal, reference_mean_spacing
+
 from mhpf import evaluation
 from mhpf.dynamics import build_dynamics
 from mhpf.errors import InvalidInputError
@@ -15,8 +17,9 @@ from mhpf.evaluation import (ExperimentConfig, LeafParticleFilter, RAW_FIELDS,
                              mean_spacing, mse, parse_raw_rows, read_csv, run_bl1,
                              run_bl2, run_experiment, run_mhpf, ranksum_p, summarize,
                              write_csv)
-from mhpf.filtration import flat_tree, single_class_tree
-from mhpf.obsgen import bbox_diagonal, gen_fine
+from mhpf.filtration import flat_tree, single_class_tree, single_linkage
+from mhpf.geometry import Trajectory
+from mhpf.obsgen import ClassPointIndex, bbox_diagonal, gen_fine
 from mhpf.seeding import PHASE_OBSERVE, child_seed, substream
 from mhpf.stack import CoarseObservation, FilterStack, FineObservation, start_point_sampler
 
@@ -169,6 +172,42 @@ def test_holdout_excludes_truth(fixed_corpus):
     assert scenario.tree.leaf_count == len(fixed_corpus) - 1
     # The nearest remaining leaf stands in as the true class.
     assert scenario.truth_leaf in scenario.tree.leaves()
+
+
+def test_corpus_scale_and_spacing_match_stacked_references(fixed_corpus, junction_corpus):
+    rng = np.random.default_rng(12)
+    corpora = [fixed_corpus, junction_corpus, evaluation.load_corpus(ExperimentConfig(corpus_n=9))]
+    corpora += [ragged_corpus(rng, dim)[0] for dim in (1, 2, 3) for _ in range(3)]
+    for corpus in corpora:
+        assert bbox_diagonal(corpus) == reference_bbox_diagonal(corpus)
+        assert mean_spacing(corpus) == reference_mean_spacing(corpus)
+
+
+def test_set_up_helpers_reject_mixed_dimensions():
+    corpus = [Trajectory("a", np.array([[0.0, 0.0], [1.0, 0.0]])),
+              Trajectory("b", np.array([[0.0, 1.0], [1.0, 1.0]])),
+              Trajectory("c", np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))]
+    tree = single_linkage(np.ones((3, 3)) - np.eye(3), member_ids=["a", "b", "c"])
+    calls = [lambda: bbox_diagonal(corpus),
+             lambda: build_dynamics(tree, corpus, kappa=0.0, epsilon_floor=0.5),
+             lambda: ClassPointIndex(tree, corpus),
+             lambda: build_scenario(corpus, 0, full_matrix=np.ones((3, 3)) - np.eye(3)),
+             lambda: build_scenario(corpus, 0)]
+    for call in calls:
+        with pytest.raises(InvalidInputError, match="share one dimension"):
+            call()
+
+
+def test_bbox_diagonal_rejects_an_empty_corpus():
+    with pytest.raises(InvalidInputError, match="at least one trajectory"):
+        bbox_diagonal([])
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (5, 5), (4,), (4, 5)])
+def test_build_scenario_rejects_a_full_matrix_of_the_wrong_shape(fixed_corpus, shape):
+    corpus = fixed_corpus[:4]
+    with pytest.raises(InvalidInputError, match="does not match 4 trajectories"):
+        build_scenario(corpus, 3, full_matrix=np.zeros(shape))
 
 
 def test_bl2_tree_distance_is_root_birth(fixed_corpus):

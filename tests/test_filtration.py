@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import brute_alive, naive_single_linkage, walk_lca
+from helpers import brute_alive, naive_single_linkage, reference_single_linkage, walk_lca
 from mhpf.errors import InvalidInputError
 from mhpf.filtration import ClusterTree, flat_tree, single_class_tree, single_linkage
 from mhpf.geometry import distance_matrix
@@ -145,6 +145,30 @@ def test_tie_break_is_lexicographic():
     assert tree.nodes[3].members == frozenset({"0", "1"})
     assert tree.nodes[4].members == frozenset({"0", "1", "2"})
     assert tree.nodes[3].birth == tree.nodes[4].birth == 1.0
+
+
+def tie_heavy_distance_matrix(rng, m):
+    """Symmetric matrix of integer distances from {1, 2, 3}: most merges tie."""
+    a = rng.integers(1, 4, size=(m, m)).astype(float)
+    d = np.triu(a, 1)
+    return d + d.T
+
+
+@pytest.mark.parametrize("make", [random_distance_matrix, tie_heavy_distance_matrix])
+def test_matches_reference_single_linkage_node_for_node(make):
+    rng = np.random.default_rng(31)
+    for m in list(range(1, 13)) * 4 + [40]:
+        d = make(rng, m)
+        ids = [f"t{k}" for k in rng.permutation(m)]
+        tree, ref = single_linkage(d, member_ids=ids), reference_single_linkage(d, ids)
+        assert tree.root == ref.root
+        assert tree.nodes == ref.nodes
+
+
+def test_rejects_duplicate_member_ids():
+    with pytest.raises(InvalidInputError, match="duplicate member id 'x'"):
+        single_linkage(random_distance_matrix(np.random.default_rng(0), 3),
+                       member_ids=["x", "x", "y"])
 
 
 def test_internal_nodes_are_binary():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pickle
 import time
 import tracemalloc
 
@@ -291,3 +292,47 @@ def test_trajectory_reader_rejects_cross_record_dims(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(InvalidInputError):
         load_trajectories(path)
+
+
+def test_trajectory_reader_rejects_duplicate_ids(tmp_path):
+    path = tmp_path / "dup.jsonl"
+    lines = [json.dumps({"id": tid, "points": [[0, k], [1, k]]})
+             for k, tid in enumerate(["x", "y", "x"])]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvalidInputError, match="duplicate trajectory id 'x'") as exc:
+        load_trajectories(path)
+    assert str(exc.value).startswith(f"{path}:3: ")
+    assert "first on line 1" in str(exc.value)
+
+
+@pytest.mark.parametrize("points", [
+    [[0.0]],
+    [[0.0, 1.0], [2.0, -1.0], [2.5, 0.5], [1.0, 4.0]],
+    [[0.1, 0.2, 0.3], [-1.0, 2.0, 0.5], [3.0, 3.0, 3.0]],
+    [[2.0], [-1.5], [4.25]],
+])
+def test_cached_per_trajectory_arrays_are_read_only_and_exact(points):
+    t = Trajectory("t", np.array(points))
+    velocities = np.diff(t.points, axis=0)
+    references = {
+        "velocities": velocities,
+        "speeds": np.sqrt((velocities ** 2).sum(axis=1)),
+        "bounds": np.array([t.points.min(axis=0), t.points.max(axis=0)]),
+    }
+    for name, ref in references.items():
+        value = getattr(t, name)
+        assert value is getattr(t, name)
+        assert np.array_equal(value, ref)
+        with pytest.raises(ValueError):
+            value[...] = 0.0
+    assert t.arc_length() == float(references["speeds"].sum())
+
+
+def test_pickled_trajectory_stays_read_only():
+    t = Trajectory("t", np.array([[0.0, 1.0], [2.0, -1.0], [2.5, 0.5]]))
+    t.speeds
+    u = pickle.loads(pickle.dumps(t))
+    assert u.id == t.id and np.array_equal(u.points, t.points)
+    for name in ("points", "velocities", "speeds", "bounds"):
+        assert not getattr(u, name).flags.writeable
+        assert np.array_equal(getattr(u, name), getattr(t, name))
