@@ -15,7 +15,6 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import InvalidInputError
-from .geometry import check_common_dim
 
 # Query batches are evaluated against the full sample set in dense blocks of
 # at most this many (query, sample) pairs; larger batches are chunked.
@@ -144,7 +143,7 @@ def harvest_samples(trajectories):
 
 def build_dynamics(tree, trajectories, kappa: float, epsilon_floor: float,
                    centered_noise: bool = False) -> dict[int, ClassDynamics]:
-    """One ClassDynamics per leaf class plus one for the root.
+    """One ClassDynamics per leaf class plus one for the root, which pools every member.
 
     The filter stack and the leaf-class baseline move particles by their leaf
     class; the pooled baseline follows the root. The neighborhood radius of a
@@ -152,15 +151,12 @@ def build_dynamics(tree, trajectories, kappa: float, epsilon_floor: float,
     0, so the floor is what keeps their balls non-degenerate).
     """
     check_epsilon_floor(epsilon_floor)
-    check_common_dim(trajectories)
-    by_id = {t.id: t for t in trajectories}
+    classes = tree.leaf_trajectories(trajectories)
+    pool = sorted((t for ts in classes.values() for t in ts), key=lambda t: t.id)
     out: dict[int, ClassDynamics] = {}
-    for nid in sorted(set(tree.leaves()) | {tree.root}):
+    for nid in sorted(classes.keys() | {tree.root}):
         node = tree.nodes[nid]
-        missing = [m for m in node.members if m not in by_id]
-        if missing:
-            raise InvalidInputError(f"class {nid}: unknown member trajectories {sorted(missing)!r}")
-        member_trajs = [by_id[m] for m in sorted(node.members)]
+        member_trajs = classes.get(nid, pool)
         positions, velocities = harvest_samples(member_trajs)
         if positions.size == 0:
             raise InvalidInputError(f"class {nid} has no dynamics samples "

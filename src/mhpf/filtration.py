@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidInputError, record_field
-from .geometry import validate_distance_matrix
+from .geometry import check_common_dim, validate_distance_matrix
 
 
 @dataclass(frozen=True)
@@ -103,6 +103,28 @@ class ClusterTree:
             return self._leaf_by_member[trajectory_id]
         except KeyError:
             raise InvalidInputError(f"unknown trajectory id {trajectory_id!r}") from None
+
+    def leaf_trajectories(self, trajectories) -> dict[int, list]:
+        """Each leaf's member trajectories in ascending id order, keyed in `leaves()` order.
+
+        This is where tree members resolve to `Trajectory` objects. An empty
+        list, mixed dimensions, a repeated id or a member missing from
+        `trajectories` raises InvalidInputError; trajectories in no leaf are ignored.
+        """
+        check_common_dim(trajectories)
+        by_id = {}
+        for t in trajectories:
+            if t.id in by_id:
+                raise InvalidInputError(f"duplicate trajectory id {t.id!r}")
+            by_id[t.id] = t
+        out = {}
+        for nid in self.leaves():
+            members = sorted(self.nodes[nid].members)
+            missing = [m for m in members if m not in by_id]
+            if missing:
+                raise InvalidInputError(f"class {nid}: unknown member trajectories {missing!r}")
+            out[nid] = [by_id[m] for m in members]
+        return out
 
     @cached_property
     def _tables(self) -> _Tables:
@@ -231,7 +253,14 @@ class ClusterTree:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClusterTree":
-        """Inverse of `to_dict`; a missing, malformed or dangling field raises InvalidInputError."""
+        """Inverse of `to_dict`; raises InvalidInputError unless the records form a tree.
+
+        A missing, malformed or dangling field, a repeated node id, a parent
+        or child link the other node does not confirm, a root with a parent,
+        a node not reached exactly once from the root, a leaf with no members,
+        a member under two leaves, or an internal node whose members are not
+        its children's union is rejected. Births and deaths may be in any order.
+        """
         nodes = {}
         for i, rec in enumerate(record_field(data, "nodes", list, "tree")):
             where = f"node record {i}"
@@ -244,12 +273,15 @@ class ClusterTree:
                 parent=record_field(rec, "parent", lambda p: None if p is None else int(p), where),
                 children=record_field(rec, "children", lambda c: tuple(map(int, c)), where),
             )
+            if node.id in nodes:
+                raise InvalidInputError(f"tree: repeated node id {node.id}")
             nodes[node.id] = node
         root = record_field(data, "root", int, "tree")
         refs = {root} | {r for n in nodes.values() for r in (n.parent, *n.children)}
         refs.discard(None)
         if not refs <= nodes.keys():
             raise InvalidInputError(f"tree: unknown node ids {sorted(refs - nodes.keys())}")
+        _check_tree_shape(nodes, root)
         return cls(nodes, root)
 
     def save(self, path) -> None:
@@ -282,6 +314,44 @@ class ClusterTree:
 
         walk(self.root, 0)
         return "\n".join(lines)
+
+
+def _check_tree_shape(nodes: dict[int, ClusterNode], root: int) -> None:
+    """Raise InvalidInputError unless the linked nodes form one tree whose leaves split the members."""
+    # With every child link confirmed and every node reached once from a
+    # parentless root, each parent link is confirmed too.
+    for nid, node in nodes.items():
+        for ch in node.children:
+            if nodes[ch].parent != nid:
+                raise InvalidInputError(f"tree: node {nid} lists child {ch}, "
+                                        f"whose parent is {nodes[ch].parent}")
+    if nodes[root].parent is not None:
+        raise InvalidInputError(f"tree: root {root} has parent {nodes[root].parent}")
+    reached = set()
+    todo = [root]
+    while todo:
+        nid = todo.pop()
+        if nid in reached:
+            raise InvalidInputError(f"tree: node {nid} is reached more than once from the root")
+        reached.add(nid)
+        todo.extend(nodes[nid].children)
+    if len(reached) < len(nodes):
+        raise InvalidInputError(f"tree: nodes {sorted(nodes.keys() - reached)} "
+                                "are not reached from the root")
+    leaf_of = {}
+    for nid, node in nodes.items():
+        if not node.is_leaf:
+            continue
+        if not node.members:
+            raise InvalidInputError(f"tree: leaf {nid} has no members")
+        for m in node.members:
+            if leaf_of.setdefault(m, nid) != nid:
+                raise InvalidInputError(f"tree: member {m!r} is under leaves {leaf_of[m]} and {nid}")
+    for nid, node in nodes.items():
+        if node.children and node.members != frozenset().union(
+                *(nodes[ch].members for ch in node.children)):
+            raise InvalidInputError(f"tree: members of node {nid} are not the union "
+                                    "of its children's")
 
 
 def single_linkage(d, member_ids=None) -> ClusterTree:

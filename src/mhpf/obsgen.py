@@ -71,10 +71,8 @@ class ClassPointIndex:
     """
 
     def __init__(self, tree, trajectories):
-        check_common_dim(trajectories)
         self.tree = tree
-        by_id = {t.id: t for t in trajectories}
-        members = [[by_id[m] for m in sorted(tree.nodes[c].members)] for c in tree.leaves()]
+        members = tree.leaf_trajectories(trajectories).values()
         sizes = [sum(len(t) for t in ts) for ts in members]
         self._starts = np.cumsum([0] + sizes[:-1])
         self._points = np.concatenate([t.points for ts in members for t in ts])

@@ -133,12 +133,8 @@ def advance_particles(positions: np.ndarray, class_ids: np.ndarray, groups, dyna
 
 def start_point_sampler(tree, trajectories):
     """Position sampler placing a particle at its class trajectory's start."""
-    by_id = {t.id: t for t in trajectories}
-    starts = {}
-    for nid in tree.leaves():
-        node = tree.nodes[nid]
-        firsts = [by_id[m].points[0] for m in sorted(node.members)]
-        starts[nid] = np.mean(firsts, axis=0)
+    starts = {nid: np.mean([t.points[0] for t in ts], axis=0)
+              for nid, ts in tree.leaf_trajectories(trajectories).items()}
 
     def sampler(class_id, rng):
         return starts[class_id].copy()

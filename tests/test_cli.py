@@ -109,10 +109,19 @@ def test_malformed_tree_and_trajectory_files_are_reported(tmp_path, capsys):
     tpath.write_text('{"root": 0}')
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"id": "x", "pts": []}\n')
+    shared = tmp_path / "shared.json"
+    shared.write_text(json.dumps({"root": 2, "nodes": [
+        {"id": 0, "members": ["fix00"], "birth": 0.0, "death": 1.0, "parent": 2, "children": []},
+        {"id": 1, "members": ["fix00", "fix01"], "birth": 0.0, "death": 1.0, "parent": 2,
+         "children": []},
+        {"id": 2, "members": ["fix00", "fix01"], "birth": 1.0, "death": None, "parent": None,
+         "children": [0, 1]}]}))
     capsys.readouterr()
     for argv, field in (
             (["filter", "--trajectories", str(cpath), "--tree", str(tpath), "--truth-id", "fix00",
               "--out", str(tmp_path / "s.jsonl")], "'nodes'"),
+            (["filter", "--trajectories", str(cpath), "--tree", str(shared), "--truth-id", "fix00",
+              "--out", str(tmp_path / "s.jsonl")], "member 'fix00' is under leaves 0 and 1"),
             (["cluster", "--trajectories", str(bad), "--out-tree", str(tmp_path / "t.json")],
              "'points'")):
         assert run_cli(argv) == 2

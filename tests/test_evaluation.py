@@ -191,11 +191,32 @@ def test_set_up_helpers_reject_mixed_dimensions():
     calls = [lambda: bbox_diagonal(corpus),
              lambda: build_dynamics(tree, corpus, kappa=0.0, epsilon_floor=0.5),
              lambda: ClassPointIndex(tree, corpus),
+             lambda: start_point_sampler(tree, corpus),
              lambda: build_scenario(corpus, 0, full_matrix=np.ones((3, 3)) - np.eye(3)),
              lambda: build_scenario(corpus, 0)]
     for call in calls:
         with pytest.raises(InvalidInputError, match="share one dimension"):
             call()
+
+
+_A = Trajectory("a", np.array([[0.0, 0.0], [1.0, 0.0]]))
+_B = Trajectory("b", np.array([[0.0, 1.0], [1.0, 1.0]]))
+
+
+@pytest.mark.parametrize("consumer", [
+    lambda tree, ts: build_dynamics(tree, ts, kappa=0.0, epsilon_floor=0.5),
+    ClassPointIndex,
+    start_point_sampler,
+], ids=["build_dynamics", "ClassPointIndex", "start_point_sampler"])
+@pytest.mark.parametrize("corpus, message", [
+    ([_A], r"class 1: unknown member trajectories \['b'\]"),
+    ([_A, _B, Trajectory("b", np.array([[5.0, 5.0], [6.0, 6.0]]))],
+     "duplicate trajectory id 'b'"),
+], ids=["missing_member", "repeated_id"])
+def test_set_up_helpers_name_a_missing_member_or_a_repeated_id(consumer, corpus, message):
+    tree = single_linkage(np.ones((2, 2)) - np.eye(2), member_ids=["a", "b"])
+    with pytest.raises(InvalidInputError, match=message):
+        consumer(tree, corpus)
 
 
 def test_bbox_diagonal_rejects_an_empty_corpus():

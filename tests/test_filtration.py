@@ -347,6 +347,21 @@ def spoiled(tree, node=None, **fields):
     (lambda t: spoiled(t, 2, birth="x"), "node record 2: malformed field 'birth'"),
     (lambda t: spoiled(t, 3, children=[0, "one"]), "node record 3: malformed field 'children'"),
     (lambda t: spoiled(t, 1, parent=6), r"tree: unknown node ids \[6\]"),
+    (lambda t: spoiled(t, nodes=[*t.to_dict()["nodes"], t.to_dict()["nodes"][0]]),
+     "tree: repeated node id 0"),
+    (lambda t: spoiled(t, 1, parent=4), "tree: node 3 lists child 1, whose parent is 4"),
+    (lambda t: spoiled(t, 4, children=[2, 3, 0]), "tree: node 4 lists child 0, whose parent is 3"),
+    # A node that lists itself as a child: a cycle.
+    (lambda t: spoiled(t, 2, children=[2]), "tree: node 2 lists child 2, whose parent is 4"),
+    (lambda t: spoiled(t, root=3), "tree: root 3 has parent 4"),
+    (lambda t: spoiled(t, 3, children=[0, 1, 0]), "tree: node 0 is reached more than once"),
+    # A self-parented cycle off the root, with links that confirm each other.
+    (lambda t: spoiled(t, nodes=[*t.to_dict()["nodes"], {
+        "id": 5, "members": ["0"], "birth": 0.0, "death": None, "parent": 5, "children": [5]}]),
+     r"tree: nodes \[5\] are not reached from the root"),
+    (lambda t: spoiled(t, 0, members=[]), "tree: leaf 0 has no members"),
+    (lambda t: spoiled(t, 2, members=["0", "2"]), "tree: member '0' is under leaves 0 and 2"),
+    (lambda t: spoiled(t, 4, members=["0", "1"]), "tree: members of node 4 are not the union"),
 ])
 def test_tree_loader_names_the_bad_field(hand_tree, tmp_path, make, message):
     with pytest.raises(InvalidInputError, match=message):
