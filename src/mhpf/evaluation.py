@@ -1,13 +1,10 @@
-"""Baselines, metrics, and the experiment harness.
+"""Metrics, the baseline runs, and the experiment harness.
 
-Two reference filters bracket the hierarchy: BL1 is a flat bootstrap filter
-over the single-trajectory leaf classes and BL2 the same filter over one
-pooled class following the combined-corpus dynamics. Both ignore coarse
-observations. Each step draws its prediction noise and its resampling from
-one (PHASE_PREDICT, t) stream in the same order as the hierarchical stack, so
-under a shared seed BL1 reproduces the stack's bottom level bit-for-bit (and
-BL2 a one-class tree), which the test suite exploits as an oracle for the
-stack's bookkeeping.
+Two reference filters bracket the hierarchy, both a `stack.LeafParticleFilter`
+that ignores coarse observations: BL1 runs over the single-trajectory leaf
+classes and BL2 over one pooled class following the combined-corpus
+dynamics. The stack extends that filter, so under a shared seed BL1 is the
+stack's bottom level bit for bit (and BL2 a one-class stack).
 
 The harness sweeps noise cells over scenarios x repeats, records per-step
 squared error and tree-class distance of the MAP prediction against the
@@ -34,12 +31,9 @@ from .errors import InvalidInputError
 from .filtration import single_class_tree, single_linkage
 from .geometry import Trajectory, distance_matrix, load_trajectories
 from .obsgen import ClassPointIndex, ObsConfig, bbox_diagonal, default_coarse_level, observation_plan
-from .seeding import (PHASE_DATA, PHASE_INIT, PHASE_OBSERVE, PHASE_PREDICT,
-                      PHASE_SCENARIO, as_seed_sequence, child_seed, substream)
-from .stack import (FilterStack, FineObservation, advance_particles, bounded_log_weights,
-                    check_levels, check_observations, check_particles, check_prior, class_masses,
-                    group_slices, read_only, resample_particles, start_point_sampler,
-                    weighted_mean)
+from .seeding import PHASE_DATA, PHASE_OBSERVE, PHASE_SCENARIO, child_seed, substream
+from .stack import (FilterStack, LeafParticleFilter, check_levels, check_particles,
+                    start_point_sampler)
 
 CONVERGENCE_FRACTION = 0.33
 
@@ -73,100 +67,6 @@ def convergence_time(series, root_birth: float):
     if last_bad == len(series) - 1:
         return None
     return last_bad + 1
-
-
-class LeafParticleFilter:
-    """Flat bootstrap filter over a fixed set of classes.
-
-    With the leaf classes of a tree this is BL1; with a single pooled class it
-    is BL2. Stream keys, update formulas, and resampling mirror the
-    hierarchical stack's bottom level exactly.
-    """
-
-    def __init__(self, class_ids, dynamics, class_prior, position_sampler,
-                 n_particles: int, depletion: float, seed):
-        check_particles(n_particles, depletion)
-        self._class_ids = np.asarray(sorted(int(c) for c in class_ids), dtype=int)
-        probs = check_prior(class_prior, self._class_ids.tolist())
-        self.dynamics = dynamics
-        self.n_particles = int(n_particles)
-        self.depletion = float(depletion)
-        self.seed = as_seed_sequence(seed)
-        self._t = 0
-        rng = substream(self.seed, PHASE_INIT)
-        self.labels = rng.choice(self._class_ids, size=self.n_particles, p=probs)
-        self.positions = np.stack([
-            np.asarray(position_sampler(int(c), rng), dtype=float) for c in self.labels
-        ])
-        self.weights = np.full(self.n_particles, 1.0 / self.n_particles)
-
-    @property
-    def t(self) -> int:
-        return self._t
-
-    @property
-    def labels(self) -> np.ndarray:
-        return self._labels
-
-    @labels.setter
-    def labels(self, labels: np.ndarray) -> None:
-        """Set the labels and regroup the particles by class, once per label change.
-
-        The stored labels are read-only, so the grouping cannot go stale
-        under an in-place write: assign a new array instead.
-        """
-        self._labels = read_only(labels)
-        self._cols = np.searchsorted(self._class_ids, labels)
-        self._groups = group_slices(self._cols, len(self._class_ids))
-
-    def class_probs(self) -> dict[int, float]:
-        masses = class_masses(self.weights, self._cols, len(self._class_ids))
-        return dict(zip(self._class_ids.tolist(), masses.tolist()))
-
-    def point_estimate(self) -> np.ndarray:
-        return weighted_mean(self.positions, self.weights)
-
-    def snapshot(self) -> dict:
-        probs = self.class_probs()
-        classes = [{"id": int(c), "prob": float(probs[int(c)])} for c in self._class_ids]
-        return {
-            "t": self._t,
-            "levels": [{"b": 0.0, "classes": classes}],
-            "point_estimate": [float(x) for x in self.point_estimate()],
-            "map_class": [{"b": 0.0, "class_id": _most_probable(probs)}],
-        }
-
-    def step(self, observations=()) -> dict:
-        observations = check_observations(observations, self.positions.shape[1])
-        self._t += 1
-        rng = substream(self.seed, PHASE_PREDICT, self._t)
-        advance_particles(self.positions, self._class_ids, self._groups, self.dynamics, rng)
-        for obs in observations:
-            if isinstance(obs, FineObservation):
-                xi = np.asarray(obs.position, dtype=float)
-                d = np.sqrt(((self.positions - xi) ** 2).sum(axis=1))
-                w = bounded_log_weights(d)
-                s = w.sum()
-                if s <= 0.0:
-                    w = np.full(self.n_particles, 1.0 / self.n_particles)
-                else:
-                    w = w / s
-                self.weights = w
-            # Coarse observations carry class-level evidence this filter has no
-            # hierarchy to interpret; they are ignored.
-        snap = self.snapshot()
-        self._resample(rng)
-        return snap
-
-    def _resample(self, rng: np.random.Generator) -> None:
-        self.positions, self.labels, _ = resample_particles(
-            self.positions, self.labels, self.weights, self._class_ids, self.depletion, rng)
-        self.weights = np.full(self.n_particles, 1.0 / self.n_particles)
-
-
-def _most_probable(probs: dict[int, float]) -> int:
-    """The class of highest probability; ties go to the smallest id."""
-    return min(probs, key=lambda c: (-probs[c], c))
 
 
 # -- scenarios -----------------------------------------------------------------

@@ -19,7 +19,7 @@ from scipy.spatial.distance import cdist
 
 from .errors import InvalidInputError
 from .geometry import check_common_dim
-from .stack import CoarseObservation, FineObservation
+from .stack import CoarseObservation, FineObservation, check_levels
 
 # Gaussian samples drawn around the truth for one coarse observation.
 N_COARSE_SAMPLES = 10
@@ -40,6 +40,8 @@ class ObsConfig:
 
     def __post_init__(self):
         check_psi(self.psi)
+        if self.coarse_level is not None:
+            check_levels([self.coarse_level])
         if not (0.0 <= self.coarse_prob <= 1.0):
             raise InvalidInputError("coarse_prob must be in [0, 1]")
         if not (0.0 <= self.lead_in_fraction <= 1.0):
@@ -98,14 +100,15 @@ def gen_coarse(z, psi: float, index: ClassPointIndex, level: float,
     kernel on each sample's nearest-member-point distance. The kernel
     bandwidth cancels in the argmax, so the winner is the class minimizing
     the summed squared nearest-point distances; ties break toward the
-    smallest node id.
+    smallest node id. A level where no class is alive (negative, NaN,
+    infinite, or a gap in a loaded tree) raises InvalidInputError.
     """
     check_psi(psi)
-    if level < 0:
-        raise InvalidInputError("level must be >= 0")
+    alive = index.tree.alive_ids(level)
+    if not alive:
+        raise InvalidInputError(f"no class is alive at level {level!r}")
     z = np.asarray(z, dtype=float)
     samples = z + rng.normal(0.0, psi * scale, size=(N_COARSE_SAMPLES, z.shape[0]))
-    alive = index.tree.alive_ids(level)
     scores = (index.nearest_distances(samples, alive) ** 2).sum(axis=1)
     return CoarseObservation(int(alive[int(np.argmin(scores))]), float(level))
 

@@ -1,4 +1,10 @@
-"""Consistent stack of particle filters over a cluster tree.
+"""Consistent stack of particle filters over a cluster tree, and the flat filter under it.
+
+`LeafParticleFilter` is a flat bootstrap filter over a fixed set of classes:
+the BL1 and BL2 baselines, which ignore coarse observations. `FilterStack`
+extends it with the tree. Its particles are the flat filter's over the
+tree's leaves, so under a shared seed the stack's bottom level under fine
+observations is BL1 bit for bit.
 
 One set of N weighted (leaf class, position) particles carries the estimate.
 A node of the tree holds the particles whose leaf class lies under it, so
@@ -126,7 +132,7 @@ def advance_particles(positions: np.ndarray, class_ids: np.ndarray, groups, dyna
         if a == b:
             continue
         moved[a:b], flags = dynamics[nid].step_batch(moved[a:b], rng)
-        extrapolated += np.count_nonzero(flags)
+        extrapolated += int(np.count_nonzero(flags))
     positions[order] = moved
     return extrapolated
 
@@ -255,32 +261,27 @@ def check_observations(observations, dim: int, tree=None) -> tuple:
     return observations
 
 
-class FilterStack:
-    """Single-writer filter state machine over a cluster tree.
+class LeafParticleFilter:
+    """Flat bootstrap filter: N weighted (class, position) particles over fixed classes.
 
-    The probability state is one float per leaf, in `ClusterTree.leaves()`
-    order: the current masses and their copy taken before the step's
-    observations. `class_probs` and `prev_probs` read them as {id: p} over
-    every node, each node summing the leaf masses under it. Step t draws its
-    prediction noise and then its resampling from one stream,
-    (PHASE_PREDICT, t).
+    With the leaf classes of a tree this is BL1; with one pooled class it is
+    BL2. It ignores coarse observations. Step t draws its prediction noise
+    and then its resampling from one stream, (PHASE_PREDICT, t).
+    `diagnostics` counts uniform weight resets and the particle advances that
+    fell back to extrapolation.
     """
 
-    def __init__(self, tree, dynamics, class_prior: dict, position_sampler,
+    def __init__(self, class_ids, dynamics, class_prior: dict, position_sampler,
                  n_particles: int, depletion: float, seed):
         check_particles(n_particles, depletion)
-        leaf_ids = tree.leaves()
-        probs = check_prior(class_prior, leaf_ids)
-        self.tree = tree
+        self._leaf_ids = np.asarray(sorted(int(c) for c in class_ids), dtype=int)
+        probs = check_prior(class_prior, self._leaf_ids.tolist())
         self.dynamics = dynamics
         self.n_particles = int(n_particles)
         self.depletion = float(depletion)
         self.seed = as_seed_sequence(seed)
         self._t = 0
         self._rng_t = None  # the step whose stream self._rng is
-        self._leaf_ids = np.asarray(leaf_ids, dtype=int)
-        self._node_ids = sorted(tree.nodes)
-        self._membership = tree.membership.astype(float)
         self.diagnostics = {"uniform_resets": 0, "extrapolated": 0}
 
         rng = substream(self.seed, PHASE_INIT)
@@ -289,13 +290,6 @@ class FilterStack:
             np.asarray(position_sampler(int(c), rng), dtype=float) for c in self.leaf_labels
         ])
         self.leaf_weights = np.full(self.n_particles, 1.0 / self.n_particles)
-
-        self._leaf_partition = tree.partition(leaf_ids)
-        self._prev_masses = np.zeros(len(leaf_ids))
-        self.rebuild_tree(self._leaf_partition, self.leaf_weights, self._cols)
-        self._prev_masses = self._masses
-
-    # -- level bookkeeping ---------------------------------------------------
 
     @property
     def t(self) -> int:
@@ -313,7 +307,7 @@ class FilterStack:
 
     @leaf_labels.setter
     def leaf_labels(self, labels: np.ndarray) -> None:
-        """Set the labels and regroup the particles by leaf, once per label change.
+        """Set the labels and regroup the particles by class, once per label change.
 
         The stored labels are read-only, so the grouping cannot go stale
         under an in-place write: assign a new array instead.
@@ -321,6 +315,96 @@ class FilterStack:
         self._labels = read_only(labels)
         self._cols = np.searchsorted(self._leaf_ids, labels)
         self._leaf_groups = group_slices(self._cols, len(self._leaf_ids))
+
+    @property
+    def class_probs(self) -> dict[int, float]:
+        """{class id: its particles' share of the weight} (`class_masses`)."""
+        masses = class_masses(self.leaf_weights, self._cols, len(self._leaf_ids))
+        return dict(zip(self._leaf_ids.tolist(), masses.tolist()))
+
+    def predict(self) -> None:
+        """Advance every particle by its class's dynamics."""
+        self.diagnostics["extrapolated"] += advance_particles(
+            self.leaf_positions, self._leaf_ids, self._leaf_groups, self.dynamics,
+            self._step_rng())
+
+    def _update_fine(self, xi: np.ndarray) -> None:
+        """Reweight the particles by distance to xi; equidistant ones reset to uniform."""
+        d = np.sqrt(((self.leaf_positions - xi) ** 2).sum(axis=1))
+        w = bounded_log_weights(d)
+        s = w.sum()
+        if s <= 0.0:
+            w = np.full(self.n_particles, 1.0 / self.n_particles)
+            self.diagnostics["uniform_resets"] += 1
+        else:
+            w = w / s
+        self.leaf_weights = w
+
+    def resample(self) -> None:
+        """Resample the particles (`resample_particles`) and make the weights uniform."""
+        self.leaf_positions, self.leaf_labels, reset = resample_particles(
+            self.leaf_positions, self.leaf_labels, self.leaf_weights, self._leaf_ids,
+            self.depletion, self._step_rng())
+        self.diagnostics["uniform_resets"] += reset
+        self.leaf_weights = np.full(self.n_particles, 1.0 / self.n_particles)
+
+    def point_estimate(self) -> np.ndarray:
+        """Weight-averaged particle position."""
+        return weighted_mean(self.leaf_positions, self.leaf_weights)
+
+    def snapshot(self) -> dict:
+        """Class probabilities and MAP class (ties: smallest id) at level 0, point estimate."""
+        probs = self.class_probs
+        return {
+            "t": self._t,
+            "levels": [{"b": 0.0, "classes": [{"id": c, "prob": p} for c, p in probs.items()]}],
+            "point_estimate": [float(x) for x in self.point_estimate()],
+            "map_class": [{"b": 0.0, "class_id": min(probs, key=lambda c: (-probs[c], c))}],
+        }
+
+    def step(self, observations=()) -> dict:
+        """One filtering iteration; returns the post-update snapshot.
+
+        Check every observation (a bad one raises InvalidInputError before
+        any state changes), predict, reweight by each fine observation in
+        arrival order, then resample. Coarse observations carry class-level
+        evidence this filter has no hierarchy to interpret; they are ignored.
+        """
+        observations = check_observations(observations, self.leaf_positions.shape[1])
+        self._t += 1
+        self.predict()
+        for obs in observations:
+            if isinstance(obs, FineObservation):
+                self._update_fine(np.asarray(obs.position, dtype=float))
+        snap = self.snapshot()
+        self.resample()
+        return snap
+
+
+class FilterStack(LeafParticleFilter):
+    """Single-writer filter state machine over a cluster tree.
+
+    The particles are a LeafParticleFilter's over the tree's leaves; the
+    tree adds the probability state, one float per leaf in
+    `ClusterTree.leaves()` order: the current masses and their copy taken
+    before the step's observations. `class_probs` and `prev_probs` read them
+    as {id: p} over every node, each node summing the leaf masses under it.
+    """
+
+    def __init__(self, tree, dynamics, class_prior: dict, position_sampler,
+                 n_particles: int, depletion: float, seed):
+        leaf_ids = tree.leaves()
+        super().__init__(leaf_ids, dynamics, class_prior, position_sampler,
+                         n_particles, depletion, seed)
+        self.tree = tree
+        self._node_ids = sorted(tree.nodes)
+        self._membership = tree.membership.astype(float)
+        self._leaf_partition = tree.partition(leaf_ids)
+        self._prev_masses = np.zeros(len(self._leaf_ids))
+        self.rebuild_tree(self._leaf_partition, self.leaf_weights, self._cols)
+        self._prev_masses = self._masses
+
+    # -- level bookkeeping ---------------------------------------------------
 
     def _node_probs(self, masses: np.ndarray) -> np.ndarray:
         """Probabilities on the tree's rows: each node sums the leaf masses under it."""
@@ -372,14 +456,6 @@ class FilterStack:
         self._masses = masses
         return ratio
 
-    # -- prediction --------------------------------------------------------------
-
-    def predict(self) -> None:
-        """Advance every particle by its leaf class's dynamics."""
-        self.diagnostics["extrapolated"] += advance_particles(
-            self.leaf_positions, self._leaf_ids, self._leaf_groups, self.dynamics,
-            self._step_rng())
-
     # -- observation updates ---------------------------------------------------
 
     def update(self, obs: Observation) -> None:
@@ -394,16 +470,8 @@ class FilterStack:
             self._update_coarse(int(obs.class_id), float(obs.level))
 
     def _update_fine(self, xi: np.ndarray) -> None:
-        d = np.sqrt(((self.leaf_positions - xi) ** 2).sum(axis=1))
-        w = bounded_log_weights(d)
-        s = w.sum()
-        if s <= 0.0:
-            w = np.full(self.n_particles, 1.0 / self.n_particles)
-            self.diagnostics["uniform_resets"] += 1
-        else:
-            w = w / s
-        self.leaf_weights = w
-        self.rebuild_tree(self._leaf_partition, w, self._cols)
+        super()._update_fine(xi)
+        self.rebuild_tree(self._leaf_partition, self.leaf_weights, self._cols)
 
     def _update_coarse(self, class_id: int, level_value: float) -> None:
         part = self.tree.partition(self.tree.alive_ids(level_value))
@@ -440,11 +508,7 @@ class FilterStack:
 
     def resample(self) -> None:
         """Resample the particles (`resample_particles`) and rebuild from the leaves."""
-        self.leaf_positions, self.leaf_labels, reset = resample_particles(
-            self.leaf_positions, self.leaf_labels, self.leaf_weights, self._leaf_ids,
-            self.depletion, self._step_rng())
-        self.diagnostics["uniform_resets"] += reset
-        self.leaf_weights = np.full(self.n_particles, 1.0 / self.n_particles)
+        super().resample()
         self.rebuild_tree(self._leaf_partition, self.leaf_weights, self._cols)
 
     # -- queries -----------------------------------------------------------------
@@ -465,10 +529,6 @@ class FilterStack:
         """Highest-probability alive class at level b (ties: birth, then id)."""
         (b,) = check_levels([b])
         return self._most_probable(*self._level_probs(b, self._node_probs(self._masses)))
-
-    def point_estimate(self) -> np.ndarray:
-        """Weight-averaged particle position."""
-        return weighted_mean(self.leaf_positions, self.leaf_weights)
 
     def snapshot(self, levels=None) -> dict:
         """Class probabilities and MAP class per level (default: every birth), point estimate."""

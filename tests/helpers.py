@@ -7,6 +7,10 @@ import numpy as np
 
 from mhpf.filtration import ClusterNode, ClusterTree
 from mhpf.geometry import Trajectory, euclidean
+from mhpf.seeding import PHASE_INIT, PHASE_PREDICT, as_seed_sequence, substream
+from mhpf.stack import (FineObservation, advance_particles, bounded_log_weights,
+                        check_observations, check_particles, check_prior, class_masses,
+                        group_slices, read_only, resample_particles, weighted_mean)
 
 
 def brute_force_frechet(p: np.ndarray, q: np.ndarray) -> float:
@@ -303,3 +307,97 @@ def reference_nearest_distances(tree, trajectories, samples: np.ndarray, class_i
             sq += diff * diff
         out[r] = np.sqrt(sq.min(axis=1))
     return out
+
+
+class ReferenceLeafFilter:
+    """Flat bootstrap filter over a fixed set of classes.
+
+    With the leaf classes of a tree this is BL1; with a single pooled class it
+    is BL2. Stream keys, update formulas, and resampling mirror the
+    hierarchical stack's bottom level exactly.
+    """
+
+    def __init__(self, class_ids, dynamics, class_prior, position_sampler,
+                 n_particles: int, depletion: float, seed):
+        check_particles(n_particles, depletion)
+        self._class_ids = np.asarray(sorted(int(c) for c in class_ids), dtype=int)
+        probs = check_prior(class_prior, self._class_ids.tolist())
+        self.dynamics = dynamics
+        self.n_particles = int(n_particles)
+        self.depletion = float(depletion)
+        self.seed = as_seed_sequence(seed)
+        self._t = 0
+        rng = substream(self.seed, PHASE_INIT)
+        self.labels = rng.choice(self._class_ids, size=self.n_particles, p=probs)
+        self.positions = np.stack([
+            np.asarray(position_sampler(int(c), rng), dtype=float) for c in self.labels
+        ])
+        self.weights = np.full(self.n_particles, 1.0 / self.n_particles)
+
+    @property
+    def t(self) -> int:
+        return self._t
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self._labels
+
+    @labels.setter
+    def labels(self, labels: np.ndarray) -> None:
+        """Set the labels and regroup the particles by class, once per label change.
+
+        The stored labels are read-only, so the grouping cannot go stale
+        under an in-place write: assign a new array instead.
+        """
+        self._labels = read_only(labels)
+        self._cols = np.searchsorted(self._class_ids, labels)
+        self._groups = group_slices(self._cols, len(self._class_ids))
+
+    def class_probs(self) -> dict[int, float]:
+        masses = class_masses(self.weights, self._cols, len(self._class_ids))
+        return dict(zip(self._class_ids.tolist(), masses.tolist()))
+
+    def point_estimate(self) -> np.ndarray:
+        return weighted_mean(self.positions, self.weights)
+
+    def snapshot(self) -> dict:
+        probs = self.class_probs()
+        classes = [{"id": int(c), "prob": float(probs[int(c)])} for c in self._class_ids]
+        return {
+            "t": self._t,
+            "levels": [{"b": 0.0, "classes": classes}],
+            "point_estimate": [float(x) for x in self.point_estimate()],
+            "map_class": [{"b": 0.0, "class_id": _most_probable(probs)}],
+        }
+
+    def step(self, observations=()) -> dict:
+        observations = check_observations(observations, self.positions.shape[1])
+        self._t += 1
+        rng = substream(self.seed, PHASE_PREDICT, self._t)
+        advance_particles(self.positions, self._class_ids, self._groups, self.dynamics, rng)
+        for obs in observations:
+            if isinstance(obs, FineObservation):
+                xi = np.asarray(obs.position, dtype=float)
+                d = np.sqrt(((self.positions - xi) ** 2).sum(axis=1))
+                w = bounded_log_weights(d)
+                s = w.sum()
+                if s <= 0.0:
+                    w = np.full(self.n_particles, 1.0 / self.n_particles)
+                else:
+                    w = w / s
+                self.weights = w
+            # Coarse observations carry class-level evidence this filter has no
+            # hierarchy to interpret; they are ignored.
+        snap = self.snapshot()
+        self._resample(rng)
+        return snap
+
+    def _resample(self, rng: np.random.Generator) -> None:
+        self.positions, self.labels, _ = resample_particles(
+            self.positions, self.labels, self.weights, self._class_ids, self.depletion, rng)
+        self.weights = np.full(self.n_particles, 1.0 / self.n_particles)
+
+
+def _most_probable(probs: dict[int, float]) -> int:
+    """The class of highest probability; ties go to the smallest id."""
+    return min(probs, key=lambda c: (-probs[c], c))

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 from scipy.stats import ranksums
 
-from helpers import brute_force_frechet, naive_single_linkage
+from helpers import ReferenceLeafFilter, brute_force_frechet, naive_single_linkage
 from mhpf.datasets import gen_fixed_endpoints, discretize_uniform, gen_harbor_corpus
 from mhpf.dynamics import build_dynamics
-from mhpf.evaluation import (ExperimentConfig, LeafParticleFilter, RunParams,
+from mhpf.evaluation import (ExperimentConfig, RunParams,
                              build_scenario, convergence_time, make_observation_plan,
                              mean_spacing, run_experiment)
 from mhpf.filtration import flat_tree, single_class_tree, single_linkage
@@ -129,8 +129,8 @@ def test_criterion_4_reduction_suite():
     sampler = start_point_sampler(tree, corpus)
     seed = child_seed(404, 0, 0)
     stack = FilterStack(tree, dyn, prior, sampler, 100, 0.01, seed)
-    pf = LeafParticleFilter(tree.leaves(), {c: dyn[c] for c in tree.leaves()},
-                            prior, sampler, 100, 0.01, seed)
+    pf = ReferenceLeafFilter(tree.leaves(), {c: dyn[c] for c in tree.leaves()},
+                             prior, sampler, 100, 0.01, seed)
     bl1_equal = True
     for obs in plan:
         snap_stack = stack.step(obs, snapshot_levels=[0.0])
@@ -145,7 +145,7 @@ def test_criterion_4_reduction_suite():
     sampler2 = start_point_sampler(sc_tree, corpus)
     seed2 = child_seed(404, 0, 1)
     stack2 = FilterStack(sc_tree, pooled, {0: 1.0}, sampler2, 100, 0.01, seed2)
-    pf2 = LeafParticleFilter([0], {0: pooled[0]}, {0: 1.0}, sampler2, 100, 0.01, seed2)
+    pf2 = ReferenceLeafFilter([0], {0: pooled[0]}, {0: 1.0}, sampler2, 100, 0.01, seed2)
     bl2_equal = True
     for obs in plan:
         snap_stack = stack2.step(obs, snapshot_levels=[0.0])

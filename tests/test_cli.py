@@ -109,6 +109,8 @@ def test_malformed_tree_and_trajectory_files_are_reported(tmp_path, capsys):
     tpath.write_text('{"root": 0}')
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"id": "x", "pts": []}\n')
+    good = tmp_path / "good.json"
+    run_cli(["cluster", "--trajectories", str(cpath), "--out-tree", str(good)])
     shared = tmp_path / "shared.json"
     shared.write_text(json.dumps({"root": 2, "nodes": [
         {"id": 0, "members": ["fix00"], "birth": 0.0, "death": 1.0, "parent": 2, "children": []},
@@ -123,7 +125,11 @@ def test_malformed_tree_and_trajectory_files_are_reported(tmp_path, capsys):
             (["filter", "--trajectories", str(cpath), "--tree", str(shared), "--truth-id", "fix00",
               "--out", str(tmp_path / "s.jsonl")], "member 'fix00' is under leaves 0 and 1"),
             (["cluster", "--trajectories", str(bad), "--out-tree", str(tmp_path / "t.json")],
-             "'points'")):
+             "'points'"),
+            *((["filter", "--trajectories", str(cpath), "--tree", str(good), "--truth-id",
+                "fix00", "--out", str(tmp_path / "s.jsonl"), "--mode", "lead_in",
+                "--coarse-level", level], f"no class is alive at level {level}")
+              for level in ("nan", "inf"))):
         assert run_cli(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err

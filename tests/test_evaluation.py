@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from scipy.stats import ranksums
 
-from helpers import ragged_corpus, reference_bbox_diagonal, reference_mean_spacing
+from helpers import (ReferenceLeafFilter, ragged_corpus, reference_bbox_diagonal,
+                     reference_mean_spacing)
 
 from mhpf import evaluation
 from mhpf.dynamics import build_dynamics
 from mhpf.errors import InvalidInputError
-from mhpf.evaluation import (ExperimentConfig, LeafParticleFilter, RAW_FIELDS,
+from mhpf.evaluation import (ExperimentConfig, RAW_FIELDS,
                              RunParams, SUMMARY_FIELDS, build_scenario,
                              convergence_time, make_observation_plan, map_tree_distance,
                              mean_spacing, mse, parse_raw_rows, read_csv, run_bl1,
@@ -21,7 +22,8 @@ from mhpf.filtration import flat_tree, single_class_tree, single_linkage
 from mhpf.geometry import Trajectory
 from mhpf.obsgen import ClassPointIndex, bbox_diagonal, gen_fine
 from mhpf.seeding import PHASE_OBSERVE, child_seed, substream
-from mhpf.stack import CoarseObservation, FilterStack, FineObservation, start_point_sampler
+from mhpf.stack import (CoarseObservation, FilterStack, FineObservation, LeafParticleFilter,
+                        start_point_sampler)
 
 
 def test_mse_trivials():
@@ -72,18 +74,24 @@ def test_bl1_is_bit_identical_to_flat_tree_bottom_layer(fixed_corpus):
     sampler = start_point_sampler(tree, corpus)
     seed = child_seed(1234, 0, 0)
     stack = FilterStack(tree, dyn, prior, sampler, 100, 0.01, seed)
-    pf = LeafParticleFilter(tree.leaves(), {c: dyn[c] for c in tree.leaves()},
-                            prior, sampler, 100, 0.01, seed)
+    leaf_dyn = {c: dyn[c] for c in tree.leaves()}
+    pf = ReferenceLeafFilter(tree.leaves(), leaf_dyn, prior, sampler, 100, 0.01, seed)
+    bl1 = LeafParticleFilter(tree.leaves(), leaf_dyn, prior, sampler, 100, 0.01, seed)
     assert np.array_equal(stack.leaf_positions, pf.positions)
     assert np.array_equal(stack.leaf_labels, pf.labels)
     plan = fine_only_plan(corpus, corpus[3], psi=0.02, seed=99)
     for obs in plan:
         snap_stack = stack.step(obs, snapshot_levels=[0.0])
         snap_pf = pf.step(obs)
-        assert snap_stack == snap_pf
+        assert snap_stack == snap_pf == bl1.step(obs)
         assert np.array_equal(stack.leaf_positions, pf.positions)
         assert np.array_equal(stack.leaf_labels, pf.labels)
         assert np.array_equal(stack.leaf_weights, pf.weights)
+    # The production baseline counts what the stack counts, as plain ints.
+    assert bl1.diagnostics == stack.diagnostics
+    for diagnostics in (bl1.diagnostics, stack.diagnostics):
+        assert all(type(v) is int for v in diagnostics.values())
+        json.dumps(diagnostics)
 
 
 def test_bl2_is_bit_identical_to_single_class_stack(fixed_corpus):
@@ -94,7 +102,7 @@ def test_bl2_is_bit_identical_to_single_class_stack(fixed_corpus):
     sampler = start_point_sampler(tree, corpus)
     seed = child_seed(4321, 0, 0)
     stack = FilterStack(tree, dyn, {0: 1.0}, sampler, 100, 0.01, seed)
-    pf = LeafParticleFilter([0], {0: dyn[0]}, {0: 1.0}, sampler, 100, 0.01, seed)
+    pf = ReferenceLeafFilter([0], {0: dyn[0]}, {0: 1.0}, sampler, 100, 0.01, seed)
     plan = fine_only_plan(corpus, corpus[5], psi=0.05, seed=98)
     for obs in plan:
         snap_stack = stack.step(obs, snapshot_levels=[0.0])
@@ -135,11 +143,13 @@ def test_flat_filter_rejects_bad_position_without_changing_state(fixed_corpus, f
                             start_point_sampler(fixed_tree, fixed_corpus), 100, 0.01, 5)
     plan = fine_only_plan(fixed_corpus, fixed_corpus[1], psi=0.02, seed=95, steps=2)
     pf.step(plan[0])
-    before = (pf.t, pf.labels.copy(), pf.positions.copy(), pf.weights.copy())
+    before = (pf.t, pf.leaf_labels.copy(), pf.leaf_positions.copy(), pf.leaf_weights.copy(),
+              dict(pf.diagnostics))
     with pytest.raises(InvalidInputError):
         pf.step(plan[1] + [FineObservation(np.array(position))])
     assert pf.t == before[0] == 1
-    for a, b in zip((pf.labels, pf.positions, pf.weights), before[1:]):
+    assert pf.diagnostics == before[4]
+    for a, b in zip((pf.leaf_labels, pf.leaf_positions, pf.leaf_weights), before[1:4]):
         assert np.array_equal(a, b)
 
 

@@ -1,11 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from helpers import reference_nearest_distances
 from mhpf.errors import InvalidInputError
 from mhpf.evaluation import ExperimentConfig, load_corpus
-from mhpf.filtration import single_linkage
-from mhpf.geometry import distance_matrix
+from mhpf.filtration import ClusterNode, ClusterTree, single_linkage
+from mhpf.geometry import Trajectory, distance_matrix
 from mhpf.obsgen import (ClassPointIndex, ObsConfig, bbox_diagonal, default_coarse_level,
                          gen_coarse, gen_fine, load_observations, observation_plan,
                          save_observations)
@@ -101,6 +103,21 @@ def test_coarse_tie_breaks_by_smallest_id():
     obs = gen_coarse([1.0, 0.0], 0.0, ClassPointIndex(tree, [up, dn]), 0.0,
                      np.random.default_rng(7), 1.0)
     assert obs.class_id == 0
+
+
+@pytest.mark.parametrize("level", [float("nan"), float("inf"), 1.5])
+def test_coarse_level_with_no_class_alive_is_rejected(level):
+    # Leaves die at 1 and the root is born at 2: a loaded tree with a gap.
+    nodes = {0: ClusterNode(0, frozenset({"a"}), 0.0, 1.0, 2, ()),
+             1: ClusterNode(1, frozenset({"b"}), 0.0, 1.0, 2, ()),
+             2: ClusterNode(2, frozenset({"a", "b"}), 2.0, math.inf, None, (0, 1))}
+    trajs = [Trajectory("a", np.zeros((3, 2))), Trajectory("b", np.ones((3, 2)))]
+    index = ClassPointIndex(ClusterTree(nodes, 2), trajs)
+    with pytest.raises(InvalidInputError, match=f"no class is alive at level {level!r}"):
+        gen_coarse([0.5, 0.5], 0.01, index, level, np.random.default_rng(0), 1.0)
+    if not math.isfinite(level):
+        with pytest.raises(InvalidInputError, match=f"no class is alive at level {level!r}"):
+            ObsConfig(psi=0.01, coarse_level=level)
 
 
 def test_coarse_small_noise_matches_nearest_class_rule(fixed_corpus, fixed_tree):

@@ -8,16 +8,16 @@ from scipy.stats import chisquare
 
 from mhpf.dynamics import build_dynamics
 from mhpf.errors import InvalidInputError
-from mhpf.evaluation import LeafParticleFilter, mean_spacing
+from mhpf.evaluation import mean_spacing
 from mhpf.filtration import ClusterTree, single_linkage
 from mhpf.geometry import Trajectory, distance_matrix
 from mhpf.obsgen import ClassPointIndex, bbox_diagonal, gen_coarse, gen_fine
 from mhpf.seeding import PHASE_OBSERVE, child_seed, substream
-from mhpf.stack import (CoarseObservation, FilterStack, FineObservation,
+from mhpf.stack import (CoarseObservation, FilterStack, FineObservation, LeafParticleFilter,
                         bounded_log_weights, check_consistency, split_counts,
                         start_point_sampler)
 
-from helpers import random_corpus, reference_leaf_masses, reference_rebuild
+from helpers import ReferenceLeafFilter, random_corpus, reference_leaf_masses, reference_rebuild
 
 N = 100
 
@@ -536,7 +536,7 @@ def test_fine_only_bottom_level_matches_bl1_on_nested_tree(fixed_corpus, fixed_t
     sampler = start_point_sampler(fixed_tree, corpus)
     seed = child_seed(2024, 0, 0)
     stack = FilterStack(fixed_tree, dyn, prior, sampler, N, 0.01, seed)
-    pf = LeafParticleFilter(leaves, {c: dyn[c] for c in leaves}, prior, sampler, N, 0.01, seed)
+    pf = ReferenceLeafFilter(leaves, {c: dyn[c] for c in leaves}, prior, sampler, N, 0.01, seed)
     scale = bbox_diagonal(corpus)
     rng = substream(96, PHASE_OBSERVE)
     truth = corpus[6].points
@@ -720,7 +720,8 @@ def test_resample_rejects_non_finite_weights(hand_stack, bad):
 
 
 def flat_filter_state(pf):
-    return (pf.t, pf.labels.copy(), pf.positions.copy(), pf.weights.copy())
+    return (pf.t, pf.leaf_labels.copy(), pf.leaf_positions.copy(), pf.leaf_weights.copy(),
+            dict(pf.diagnostics))
 
 
 @pytest.mark.parametrize("bad, message", [(np.nan, "non-finite"), (np.inf, "non-finite"),
@@ -733,13 +734,11 @@ def test_resample_rejects_negative_or_non_finite_weights(hand_stack, hand_tree, 
                             start_point_sampler(hand_tree, trajs), N, 0.01, 31)
     w = np.full(N, 1.0 / N)
     w[3] = bad
-    hand_stack.leaf_weights, pf.weights = w.copy(), w.copy()
-    for target, state, resample in [
-            (hand_stack, stack_state, hand_stack.resample),
-            (pf, flat_filter_state, lambda: pf._resample(np.random.default_rng(0)))]:
+    hand_stack.leaf_weights, pf.leaf_weights = w.copy(), w.copy()
+    for target, state in [(hand_stack, stack_state), (pf, flat_filter_state)]:
         before = state(target)
         with pytest.raises(InvalidInputError, match=message):
-            resample()
+            target.resample()
         for a, b in zip(state(target), before):
             np.testing.assert_array_equal(a, b)
 
@@ -752,7 +751,7 @@ def test_labels_reject_in_place_writes(hand_stack, hand_tree):
     dyn = build_dynamics(hand_tree, trajs, kappa=0.5, epsilon_floor=0.5)
     pf = LeafParticleFilter(leaves, {c: dyn[c] for c in leaves}, {c: 1.0 for c in leaves},
                             start_point_sampler(hand_tree, trajs), N, 0.01, 31)
-    for labels in (hand_stack.leaf_labels, pf.labels):
+    for labels in (hand_stack.leaf_labels, pf.leaf_labels):
         with pytest.raises(ValueError):
             labels[0] = 0
 
@@ -789,7 +788,8 @@ def test_one_stream_per_step(monkeypatch, fixed_corpus, fixed_tree):
     sampler = start_point_sampler(fixed_tree, fixed_corpus)
     stack = FilterStack(fixed_tree, dyn, prior, sampler, N, 0.05, seed=3)
     pf = LeafParticleFilter(leaves, {c: dyn[c] for c in leaves}, prior, sampler, N, 0.05, 3)
-    assert calls == {"stack": 1, "evaluation": 1}
+    # Both filters draw from stack's streams; evaluation draws none.
+    assert calls == {"stack": 2, "evaluation": 0}
     level = fixed_tree.unique_births()[3]
     truth = fixed_corpus[2].points
     for t in range(1, 21):
@@ -797,7 +797,7 @@ def test_one_stream_per_step(monkeypatch, fixed_corpus, fixed_tree):
         stack.step(obs)
         pf.step(obs)
         # Populated classes per step: several, yet one stream each.
-        assert calls == {"stack": 1 + t, "evaluation": 1 + t}
+        assert calls == {"stack": 2 + 2 * t, "evaluation": 0}
 
 
 # sha256 of the all-level snapshots below, recorded when leaf masses became
