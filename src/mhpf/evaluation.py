@@ -4,7 +4,8 @@ Two reference filters bracket the hierarchy, both a `stack.LeafParticleFilter`
 that ignores coarse observations: BL1 runs over the single-trajectory leaf
 classes and BL2 over one pooled class following the combined-corpus
 dynamics. The stack extends that filter, so under a shared seed BL1 is the
-stack's bottom level bit for bit (and BL2 a one-class stack).
+stack's bottom level bit for bit (and BL2 a one-class stack). Particles start
+at their class's mean start point (`stack.start_points`).
 
 The harness sweeps noise cells over scenarios x repeats, records per-step
 squared error and tree-class distance of the MAP prediction against the
@@ -31,9 +32,9 @@ from .errors import InvalidInputError
 from .filtration import single_class_tree, single_linkage
 from .geometry import Trajectory, distance_matrix, load_trajectories
 from .obsgen import ClassPointIndex, ObsConfig, bbox_diagonal, default_coarse_level, observation_plan
-from .seeding import PHASE_DATA, PHASE_OBSERVE, PHASE_SCENARIO, child_seed, substream
-from .stack import (FilterStack, LeafParticleFilter, check_levels, check_particles,
-                    start_point_sampler)
+from .seeding import (PHASE_DATA, PHASE_OBSERVE, PHASE_SCENARIO, as_seed_sequence, child_seed,
+                      substream)
+from .stack import FilterStack, LeafParticleFilter, check_levels, check_particles, start_points
 
 CONVERGENCE_FRACTION = 0.33
 
@@ -173,13 +174,13 @@ def make_observation_plan(scenario: Scenario, params: RunParams, seed, repeat: i
 def filter_args(scenario: Scenario, params: RunParams, seed) -> tuple:
     """The arguments FilterStack takes after the tree, for one trial.
 
-    The scenario's dynamics at `params.kappa`, a uniform leaf prior and
-    class-mean start points, then the particle count, depletion and seed.
+    The scenario's dynamics at `params.kappa`, a uniform leaf prior and the
+    leaves' mean start points, then the particle count, depletion and seed.
     """
     tree = scenario.tree
     return ({nid: d.with_kappa(params.kappa) for nid, d in scenario.dynamics_base.items()},
             {c: 1.0 / tree.leaf_count for c in tree.leaves()},
-            start_point_sampler(tree, scenario.corpus),
+            start_points(tree, scenario.corpus),
             params.n_particles, params.depletion, seed)
 
 
@@ -236,7 +237,7 @@ def run_bl2(scenario: Scenario, params: RunParams, seed, repeat: int = 0,
         dyn, _, _, n_particles, depletion, trial_seed = args
         pooled = single_class_tree([t.id for t in scenario.corpus])
         return LeafParticleFilter([0], {0: dyn[root]}, {0: 1.0},
-                                  start_point_sampler(pooled, scenario.corpus),
+                                  start_points(pooled, scenario.corpus),
                                   n_particles, depletion, trial_seed).step
     return _trial(scenario, params, seed, repeat, plan, start, map_node=root)
 
@@ -313,8 +314,8 @@ def _check_config(cfg: ExperimentConfig) -> list[RunParams]:
     """The swept cells of a config, every value checked before a corpus is built.
 
     Each value goes through the check that would reject it later in a run:
-    the observation settings, kappa, the dynamics radius floor, the particle
-    count and depletion, and the snapshot levels.
+    the seeds, the observation settings, kappa, the dynamics radius floor,
+    the particle count and depletion, and the evaluation level.
     """
     for kind in cfg.filters:
         if kind not in _RUNNERS:
@@ -327,10 +328,13 @@ def _check_config(cfg: ExperimentConfig) -> list[RunParams]:
     for key in ("n_scenarios", "n_repeats"):
         if getattr(cfg, key) < 1:
             raise InvalidInputError(f"{key!r} must be >= 1, got {getattr(cfg, key)!r}")
+    as_seed_sequence(cfg.seed)
+    as_seed_sequence(cfg.corpus_seed)
     check_particles(cfg.n_particles, cfg.depletion)
     if cfg.epsilon_floor is not None:
         check_epsilon_floor(cfg.epsilon_floor)
-    check_levels([b for b in (cfg.eval_level, cfg.coarse_level) if b is not None])
+    if cfg.eval_level is not None:
+        check_levels([cfg.eval_level], "eval_level")
     cells = _cells(cfg)
     for params in cells:
         _obs_config(params)

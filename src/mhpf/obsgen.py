@@ -41,7 +41,7 @@ class ObsConfig:
     def __post_init__(self):
         check_psi(self.psi)
         if self.coarse_level is not None:
-            check_levels([self.coarse_level])
+            check_levels([self.coarse_level], "coarse_level")
         if not (0.0 <= self.coarse_prob <= 1.0):
             raise InvalidInputError("coarse_prob must be in [0, 1]")
         if not (0.0 <= self.lead_in_fraction <= 1.0):

@@ -14,7 +14,11 @@ noise.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
+
+from .errors import InvalidInputError
 
 # Phase tags used as the first path component after any run-level prefix.
 # Corpora, plans and runs are keyed on these numbers: keep them, and leave 3
@@ -27,9 +31,12 @@ PHASE_DATA = 7
 
 
 def as_seed_sequence(seed) -> np.random.SeedSequence:
-    """Coerce an int or SeedSequence into a SeedSequence."""
+    """A SeedSequence as given, or made from a whole number >= 0; else InvalidInputError."""
     if isinstance(seed, np.random.SeedSequence):
         return seed
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise InvalidInputError(f"seed must be a whole number >= 0 or a SeedSequence, "
+                                f"got {seed!r}")
     return np.random.SeedSequence(int(seed))
 
 

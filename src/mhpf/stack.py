@@ -1,18 +1,18 @@
 """Consistent stack of particle filters over a cluster tree, and the flat filter under it.
 
 `LeafParticleFilter` is a flat bootstrap filter over a fixed set of classes:
-the BL1 and BL2 baselines, which ignore coarse observations. `FilterStack`
-extends it with the tree. Its particles are the flat filter's over the
-tree's leaves, so under a shared seed the stack's bottom level under fine
-observations is BL1 bit for bit.
+the BL1 and BL2 baselines, which ignore coarse observations. It owns the
+particles, started at their class's point (`start_points`), and one mass per
+class. `FilterStack` extends it with the tree over its leaves, so under a
+shared seed the stack's bottom level under fine observations is BL1 bit for bit.
 
 One set of N weighted (leaf class, position) particles carries the estimate.
 A node of the tree holds the particles whose leaf class lies under it, so
 every level of the tree partitions the same N particles. The probability
-state is one mass per leaf, plus its copy from before the step's
+state is one mass per leaf, plus the stack's copy from before the step's
 observations. A node's probability is the sum of the leaf masses under it
 (`membership @ masses`), so children sum to their parent by construction.
-An update at some level gives each class there its particles' share of the
+A coarse update gives each class of its level its particles' share of the
 level's weight: a leaf that is a class takes that share, and the leaves
 under a larger class split it in proportion to their pre-observation masses.
 
@@ -53,9 +53,6 @@ class FineObservation:
 class CoarseObservation:
     class_id: int
     level: float
-
-
-Observation = FineObservation | CoarseObservation
 
 
 def bounded_log_weights(dists: np.ndarray) -> np.ndarray:
@@ -137,15 +134,13 @@ def advance_particles(positions: np.ndarray, class_ids: np.ndarray, groups, dyna
     return extrapolated
 
 
-def start_point_sampler(tree, trajectories):
-    """Position sampler placing a particle at its class trajectory's start."""
-    starts = {nid: np.mean([t.points[0] for t in ts], axis=0)
-              for nid, ts in tree.leaf_trajectories(trajectories).items()}
+def start_points(tree, trajectories) -> dict:
+    """{leaf id: the mean start point of its member trajectories}, where particles start."""
+    return {nid: np.mean([t.points[0] for t in ts], axis=0)
+            for nid, ts in tree.leaf_trajectories(trajectories).items()}
 
-    def sampler(class_id, rng):
-        return starts[class_id].copy()
 
-    return sampler
+start_point_sampler = start_points  # the former name, still imported by perfbench/smoke.py
 
 
 def split_counts(n: int, depletion: float) -> tuple[int, int]:
@@ -216,17 +211,32 @@ def check_prior(class_prior: dict, class_ids: list) -> np.ndarray:
     return probs / total
 
 
-def check_levels(levels) -> list:
-    """The snapshot levels as a list; each must be a finite number >= 0."""
+def check_start_points(start_points: dict, dynamics: dict, class_ids: list) -> np.ndarray:
+    """The classes' start points as rows; InvalidInputError names a class without
+    dynamics or a start point, or whose point is not finite in its samples' dimension."""
+    for c in class_ids:
+        for what, table in (("dynamics", dynamics), ("start point", start_points)):
+            if c not in table:
+                raise InvalidInputError(f"class {c} has no {what}")
+        p, dim = np.asarray(start_points[c], dtype=float), dynamics[c].positions.shape[1]
+        if p.shape != (dim,) or not np.isfinite(p).all():
+            raise InvalidInputError(f"class {c}: start point must be {dim} finite coordinates, "
+                                    f"as its dynamics samples are, got {start_points[c]!r}")
+    return np.array([start_points[c] for c in class_ids], dtype=float)
+
+
+def check_levels(levels, name: str = "snapshot levels") -> list:
+    """The levels as a list, each a finite number >= 0; errors call them `name`."""
     try:
         levels = list(levels)
     except TypeError:
         raise InvalidInputError(
-            f"snapshot levels must be a sequence of numbers, got {levels!r}") from None
+            f"{name} must be a sequence of numbers, got {levels!r}") from None
     for b in levels:
         if not (isinstance(b, numbers.Real) and 0 <= b < math.inf):
             raise InvalidInputError(
-                f"no class is alive at level {b!r}: snapshot levels must be finite and >= 0")
+                f"no class is alive at level {b!r}: {name} must be finite and >= 0, "
+                "as tree levels are")
     return levels
 
 
@@ -271,11 +281,12 @@ class LeafParticleFilter:
     fell back to extrapolation.
     """
 
-    def __init__(self, class_ids, dynamics, class_prior: dict, position_sampler,
+    def __init__(self, class_ids, dynamics, class_prior: dict, start_points: dict,
                  n_particles: int, depletion: float, seed):
         check_particles(n_particles, depletion)
         self._leaf_ids = np.asarray(sorted(int(c) for c in class_ids), dtype=int)
         probs = check_prior(class_prior, self._leaf_ids.tolist())
+        points = check_start_points(start_points, dynamics, self._leaf_ids.tolist())
         self.dynamics = dynamics
         self.n_particles = int(n_particles)
         self.depletion = float(depletion)
@@ -286,10 +297,8 @@ class LeafParticleFilter:
 
         rng = substream(self.seed, PHASE_INIT)
         self.leaf_labels = rng.choice(self._leaf_ids, size=self.n_particles, p=probs)
-        self.leaf_positions = np.stack([
-            np.asarray(position_sampler(int(c), rng), dtype=float) for c in self.leaf_labels
-        ])
-        self.leaf_weights = np.full(self.n_particles, 1.0 / self.n_particles)
+        self.leaf_positions = points[self._cols]
+        self._set_weights(np.full(self.n_particles, 1.0 / self.n_particles))
 
     @property
     def t(self) -> int:
@@ -316,11 +325,15 @@ class LeafParticleFilter:
         self._cols = np.searchsorted(self._leaf_ids, labels)
         self._leaf_groups = group_slices(self._cols, len(self._leaf_ids))
 
+    def _set_weights(self, weights: np.ndarray) -> None:
+        """Set the particle weights and the class masses they give (`class_masses`)."""
+        self.leaf_weights = weights
+        self._masses = class_masses(weights, self._cols, len(self._leaf_ids))
+
     @property
     def class_probs(self) -> dict[int, float]:
-        """{class id: its particles' share of the weight} (`class_masses`)."""
-        masses = class_masses(self.leaf_weights, self._cols, len(self._leaf_ids))
-        return dict(zip(self._leaf_ids.tolist(), masses.tolist()))
+        """{class id: its particles' share of the weight}."""
+        return dict(zip(self._leaf_ids.tolist(), self._masses.tolist()))
 
     def predict(self) -> None:
         """Advance every particle by its class's dynamics."""
@@ -338,7 +351,7 @@ class LeafParticleFilter:
             self.diagnostics["uniform_resets"] += 1
         else:
             w = w / s
-        self.leaf_weights = w
+        self._set_weights(w)
 
     def resample(self) -> None:
         """Resample the particles (`resample_particles`) and make the weights uniform."""
@@ -346,7 +359,7 @@ class LeafParticleFilter:
             self.leaf_positions, self.leaf_labels, self.leaf_weights, self._leaf_ids,
             self.depletion, self._step_rng())
         self.diagnostics["uniform_resets"] += reset
-        self.leaf_weights = np.full(self.n_particles, 1.0 / self.n_particles)
+        self._set_weights(np.full(self.n_particles, 1.0 / self.n_particles))
 
     def point_estimate(self) -> np.ndarray:
         """Weight-averaged particle position."""
@@ -384,24 +397,20 @@ class LeafParticleFilter:
 class FilterStack(LeafParticleFilter):
     """Single-writer filter state machine over a cluster tree.
 
-    The particles are a LeafParticleFilter's over the tree's leaves; the
-    tree adds the probability state, one float per leaf in
-    `ClusterTree.leaves()` order: the current masses and their copy taken
-    before the step's observations. `class_probs` and `prev_probs` read them
-    as {id: p} over every node, each node summing the leaf masses under it.
+    The particles and leaf masses are a LeafParticleFilter's over the tree's
+    leaves, in `ClusterTree.leaves()` order. The tree adds the masses' copy
+    from before the step's observations, the coarse update, and node-level
+    queries: `class_probs` and `prev_probs` give every node the sum of the
+    leaf masses under it.
     """
 
-    def __init__(self, tree, dynamics, class_prior: dict, position_sampler,
+    def __init__(self, tree, dynamics, class_prior: dict, start_points: dict,
                  n_particles: int, depletion: float, seed):
-        leaf_ids = tree.leaves()
-        super().__init__(leaf_ids, dynamics, class_prior, position_sampler,
+        super().__init__(tree.leaves(), dynamics, class_prior, start_points,
                          n_particles, depletion, seed)
         self.tree = tree
         self._node_ids = sorted(tree.nodes)
         self._membership = tree.membership.astype(float)
-        self._leaf_partition = tree.partition(leaf_ids)
-        self._prev_masses = np.zeros(len(self._leaf_ids))
-        self.rebuild_tree(self._leaf_partition, self.leaf_weights, self._cols)
         self._prev_masses = self._masses
 
     # -- level bookkeeping ---------------------------------------------------
@@ -417,12 +426,6 @@ class FilterStack(LeafParticleFilter):
     @property
     def prev_probs(self) -> dict[int, float]:
         return dict(zip(self._node_ids, self._node_probs(self._prev_masses).tolist()))
-
-    @prev_probs.setter
-    def prev_probs(self, probs: dict) -> None:
-        """Set the pre-observation masses from {id: p}; only the leaves' entries are read."""
-        self._prev_masses = np.array([probs.get(c, 0.0) for c in self._leaf_ids.tolist()],
-                                     dtype=float)
 
     # -- tree probability rebuild ----------------------------------------------
 
@@ -458,20 +461,11 @@ class FilterStack(LeafParticleFilter):
 
     # -- observation updates ---------------------------------------------------
 
-    def update(self, obs: Observation) -> None:
-        """Check, then apply one observation to the current particles."""
-        for o in check_observations(obs, self.leaf_positions.shape[1], self.tree):
-            self._apply(o)
-
-    def _apply(self, obs: Observation) -> None:
+    def _apply(self, obs: FineObservation | CoarseObservation) -> None:
         if isinstance(obs, FineObservation):
             self._update_fine(np.asarray(obs.position, dtype=float))
         else:
             self._update_coarse(int(obs.class_id), float(obs.level))
-
-    def _update_fine(self, xi: np.ndarray) -> None:
-        super()._update_fine(xi)
-        self.rebuild_tree(self._leaf_partition, self.leaf_weights, self._cols)
 
     def _update_coarse(self, class_id: int, level_value: float) -> None:
         part = self.tree.partition(self.tree.alive_ids(level_value))
@@ -503,13 +497,6 @@ class FilterStack(LeafParticleFilter):
             self.diagnostics["uniform_resets"] += 1
         else:
             self.leaf_weights = weights / s
-
-    # -- resampling -------------------------------------------------------------
-
-    def resample(self) -> None:
-        """Resample the particles (`resample_particles`) and rebuild from the leaves."""
-        super().resample()
-        self.rebuild_tree(self._leaf_partition, self.leaf_weights, self._cols)
 
     # -- queries -----------------------------------------------------------------
 
@@ -559,14 +546,14 @@ class FilterStack(LeafParticleFilter):
         Order: check every observation and snapshot level (a bad one raises
         InvalidInputError before any state changes), keep the pre-observation
         masses, predict the particles, apply the observations in arrival
-        order, then resample and rebuild the masses from the bottom level.
+        order, then resample, which resets the masses with the weights.
         """
         observations = check_observations(observations, self.leaf_positions.shape[1],
                                           self.tree)
         if snapshot_levels is not None:
             snapshot_levels = check_levels(snapshot_levels)
         self._t += 1
-        # The rebuilds replace the mass array, so this is a snapshot.
+        # Updates replace the mass array, so this is a snapshot.
         self._prev_masses = self._masses
         self.predict()
         for obs in observations:

@@ -309,6 +309,17 @@ def reference_nearest_distances(tree, trajectories, samples: np.ndarray, class_i
     return out
 
 
+def apply_observation(stack, obs) -> None:
+    """Check, then apply one observation to a stack's current particles, as `step` does."""
+    for o in check_observations(obs, stack.leaf_positions.shape[1], stack.tree):
+        stack._apply(o)
+
+
+def start_sampler(starts: dict):
+    """ReferenceLeafFilter's position sampler: a copy of the class's start point."""
+    return lambda c, rng: starts[c].copy()
+
+
 class ReferenceLeafFilter:
     """Flat bootstrap filter over a fixed set of classes.
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.stats import ranksums
 
-from helpers import ReferenceLeafFilter, brute_force_frechet, naive_single_linkage
+from helpers import ReferenceLeafFilter, brute_force_frechet, naive_single_linkage, start_sampler
 from mhpf.datasets import gen_fixed_endpoints, discretize_uniform, gen_harbor_corpus
 from mhpf.dynamics import build_dynamics
 from mhpf.evaluation import (ExperimentConfig, RunParams,
@@ -21,7 +21,7 @@ from mhpf.geometry import distance_matrix, frechet_distance
 from mhpf.obsgen import bbox_diagonal, gen_fine
 from mhpf.seeding import PHASE_DATA, PHASE_OBSERVE, child_seed, substream
 from mhpf.stack import (CoarseObservation, FilterStack, FineObservation,
-                        check_consistency, start_point_sampler)
+                        check_consistency, start_points)
 
 WORKERS = 2
 
@@ -89,7 +89,7 @@ def test_criterion_3_consistency_suite():
     tree = single_linkage(distance_matrix(corpus), member_ids=[t.id for t in corpus])
     dyn = build_dynamics(tree, corpus, kappa=0.4, epsilon_floor=2 * mean_spacing(corpus))
     prior = {c: 1.0 / tree.leaf_count for c in tree.leaves()}
-    stack = FilterStack(tree, dyn, prior, start_point_sampler(tree, corpus),
+    stack = FilterStack(tree, dyn, prior, start_points(tree, corpus),
                         100, 0.01, seed=303)
     births = tree.unique_births()
     span = bbox_diagonal(corpus)
@@ -126,11 +126,11 @@ def test_criterion_4_reduction_suite():
     tree = flat_tree([t.id for t in corpus], root_birth=5.0)
     dyn = build_dynamics(tree, corpus, kappa=0.4, epsilon_floor=floor)
     prior = {c: 1.0 / tree.leaf_count for c in tree.leaves()}
-    sampler = start_point_sampler(tree, corpus)
+    starts = start_points(tree, corpus)
     seed = child_seed(404, 0, 0)
-    stack = FilterStack(tree, dyn, prior, sampler, 100, 0.01, seed)
+    stack = FilterStack(tree, dyn, prior, starts, 100, 0.01, seed)
     pf = ReferenceLeafFilter(tree.leaves(), {c: dyn[c] for c in tree.leaves()},
-                             prior, sampler, 100, 0.01, seed)
+                             prior, start_sampler(starts), 100, 0.01, seed)
     bl1_equal = True
     for obs in plan:
         snap_stack = stack.step(obs, snapshot_levels=[0.0])
@@ -142,10 +142,11 @@ def test_criterion_4_reduction_suite():
     # BL2 against a single pooled-class stack sharing the same dynamics.
     sc_tree = single_class_tree([t.id for t in corpus])
     pooled = build_dynamics(sc_tree, corpus, kappa=0.4, epsilon_floor=floor * 4)
-    sampler2 = start_point_sampler(sc_tree, corpus)
+    starts2 = start_points(sc_tree, corpus)
     seed2 = child_seed(404, 0, 1)
-    stack2 = FilterStack(sc_tree, pooled, {0: 1.0}, sampler2, 100, 0.01, seed2)
-    pf2 = ReferenceLeafFilter([0], {0: pooled[0]}, {0: 1.0}, sampler2, 100, 0.01, seed2)
+    stack2 = FilterStack(sc_tree, pooled, {0: 1.0}, starts2, 100, 0.01, seed2)
+    pf2 = ReferenceLeafFilter([0], {0: pooled[0]}, {0: 1.0}, start_sampler(starts2), 100, 0.01,
+                              seed2)
     bl2_equal = True
     for obs in plan:
         snap_stack = stack2.step(obs, snapshot_levels=[0.0])
@@ -276,7 +277,7 @@ def test_criterion_8_density_walk_pipeline():
     plan = make_observation_plan(sc, params, 808, 0)
     dyn = {nid: d.with_kappa(params.kappa) for nid, d in sc.dynamics_base.items()}
     stack = FilterStack(sc.tree, dyn, {c: 1.0 / sc.tree.leaf_count for c in sc.tree.leaves()},
-                        start_point_sampler(sc.tree, sc.corpus), 100, 0.01,
+                        start_points(sc.tree, sc.corpus), 100, 0.01,
                         child_seed(808, sc.index, 0))
     invariant_failures = 0
     for obs in plan:

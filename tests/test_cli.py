@@ -304,3 +304,21 @@ def test_help_documents_every_flag(capsys, monkeypatch):
         sub_text = capsys.readouterr().out
         for flag in flags:
             assert flag in sub_text, f"{sub}: {flag} undocumented"
+
+
+@pytest.mark.parametrize("command", ["gen", "eval"])
+def test_negative_seed_is_reported_before_any_work(tmp_path, capsys, monkeypatch, command):
+    from mhpf import evaluation
+
+    def never(*args, **kwargs):
+        raise AssertionError("the seed must be checked before the corpus is built")
+    monkeypatch.setattr(evaluation, "load_corpus", never)
+    monkeypatch.setattr(evaluation.datasets, "generate", never)
+    outs = {"gen": ["--dataset", "fixed", "--out", str(tmp_path / "c.jsonl")],
+            "eval": ["--out-raw", str(tmp_path / "r.csv"),
+                     "--out-summary", str(tmp_path / "s.csv")]}[command]
+    rc = run_cli([command, "--seed", "-1"] + outs)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed must be a whole number >= 0" in err
+    assert not any(tmp_path.iterdir())

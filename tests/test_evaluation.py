@@ -7,7 +7,7 @@ import pytest
 from scipy.stats import ranksums
 
 from helpers import (ReferenceLeafFilter, ragged_corpus, reference_bbox_diagonal,
-                     reference_mean_spacing)
+                     reference_mean_spacing, start_sampler)
 
 from mhpf import evaluation
 from mhpf.dynamics import build_dynamics
@@ -23,7 +23,7 @@ from mhpf.geometry import Trajectory
 from mhpf.obsgen import ClassPointIndex, bbox_diagonal, gen_fine
 from mhpf.seeding import PHASE_OBSERVE, child_seed, substream
 from mhpf.stack import (CoarseObservation, FilterStack, FineObservation, LeafParticleFilter,
-                        start_point_sampler)
+                        start_points)
 
 
 def test_mse_trivials():
@@ -71,12 +71,13 @@ def test_bl1_is_bit_identical_to_flat_tree_bottom_layer(fixed_corpus):
     floor = 2.0 * mean_spacing(corpus)
     dyn = build_dynamics(tree, corpus, kappa=0.4, epsilon_floor=floor)
     prior = {c: 1.0 / tree.leaf_count for c in tree.leaves()}
-    sampler = start_point_sampler(tree, corpus)
+    starts = start_points(tree, corpus)
     seed = child_seed(1234, 0, 0)
-    stack = FilterStack(tree, dyn, prior, sampler, 100, 0.01, seed)
+    stack = FilterStack(tree, dyn, prior, starts, 100, 0.01, seed)
     leaf_dyn = {c: dyn[c] for c in tree.leaves()}
-    pf = ReferenceLeafFilter(tree.leaves(), leaf_dyn, prior, sampler, 100, 0.01, seed)
-    bl1 = LeafParticleFilter(tree.leaves(), leaf_dyn, prior, sampler, 100, 0.01, seed)
+    pf = ReferenceLeafFilter(tree.leaves(), leaf_dyn, prior, start_sampler(starts), 100, 0.01,
+                             seed)
+    bl1 = LeafParticleFilter(tree.leaves(), leaf_dyn, prior, starts, 100, 0.01, seed)
     assert np.array_equal(stack.leaf_positions, pf.positions)
     assert np.array_equal(stack.leaf_labels, pf.labels)
     plan = fine_only_plan(corpus, corpus[3], psi=0.02, seed=99)
@@ -99,10 +100,10 @@ def test_bl2_is_bit_identical_to_single_class_stack(fixed_corpus):
     tree = single_class_tree([t.id for t in corpus])
     # A single-class tree's birth is 0, so the floor is every class's radius.
     dyn = build_dynamics(tree, corpus, kappa=0.3, epsilon_floor=1.5)
-    sampler = start_point_sampler(tree, corpus)
+    starts = start_points(tree, corpus)
     seed = child_seed(4321, 0, 0)
-    stack = FilterStack(tree, dyn, {0: 1.0}, sampler, 100, 0.01, seed)
-    pf = ReferenceLeafFilter([0], {0: dyn[0]}, {0: 1.0}, sampler, 100, 0.01, seed)
+    stack = FilterStack(tree, dyn, {0: 1.0}, starts, 100, 0.01, seed)
+    pf = ReferenceLeafFilter([0], {0: dyn[0]}, {0: 1.0}, start_sampler(starts), 100, 0.01, seed)
     plan = fine_only_plan(corpus, corpus[5], psi=0.05, seed=98)
     for obs in plan:
         snap_stack = stack.step(obs, snapshot_levels=[0.0])
@@ -118,11 +119,11 @@ def test_bl1_ignores_coarse_observations(fixed_corpus, fixed_tree):
     dyn = build_dynamics(fixed_tree, corpus, kappa=0.4, epsilon_floor=floor)
     leaves = fixed_tree.leaves()
     prior = {c: 1.0 / len(leaves) for c in leaves}
-    sampler = start_point_sampler(fixed_tree, corpus)
+    starts = start_points(fixed_tree, corpus)
     seed = child_seed(7, 0, 0)
     leaf_dyn = {c: dyn[c] for c in leaves}
-    pf_a = LeafParticleFilter(leaves, leaf_dyn, prior, sampler, 100, 0.01, seed)
-    pf_b = LeafParticleFilter(leaves, leaf_dyn, prior, sampler, 100, 0.01, seed)
+    pf_a = LeafParticleFilter(leaves, leaf_dyn, prior, starts, 100, 0.01, seed)
+    pf_b = LeafParticleFilter(leaves, leaf_dyn, prior, starts, 100, 0.01, seed)
     plan = fine_only_plan(corpus, corpus[1], psi=0.02, seed=97)
     level = fixed_tree.unique_births()[3]
     cls = sorted(fixed_tree.alive_at(level))[0]
@@ -140,7 +141,7 @@ def test_flat_filter_rejects_bad_position_without_changing_state(fixed_corpus, f
     leaves = fixed_tree.leaves()
     pf = LeafParticleFilter(leaves, {c: dyn[c] for c in leaves},
                             {c: 1.0 / len(leaves) for c in leaves},
-                            start_point_sampler(fixed_tree, fixed_corpus), 100, 0.01, 5)
+                            start_points(fixed_tree, fixed_corpus), 100, 0.01, 5)
     plan = fine_only_plan(fixed_corpus, fixed_corpus[1], psi=0.02, seed=95, steps=2)
     pf.step(plan[0])
     before = (pf.t, pf.leaf_labels.copy(), pf.leaf_positions.copy(), pf.leaf_weights.copy(),
@@ -201,7 +202,7 @@ def test_set_up_helpers_reject_mixed_dimensions():
     calls = [lambda: bbox_diagonal(corpus),
              lambda: build_dynamics(tree, corpus, kappa=0.0, epsilon_floor=0.5),
              lambda: ClassPointIndex(tree, corpus),
-             lambda: start_point_sampler(tree, corpus),
+             lambda: start_points(tree, corpus),
              lambda: build_scenario(corpus, 0, full_matrix=np.ones((3, 3)) - np.eye(3)),
              lambda: build_scenario(corpus, 0)]
     for call in calls:
@@ -216,8 +217,8 @@ _B = Trajectory("b", np.array([[0.0, 1.0], [1.0, 1.0]]))
 @pytest.mark.parametrize("consumer", [
     lambda tree, ts: build_dynamics(tree, ts, kappa=0.0, epsilon_floor=0.5),
     ClassPointIndex,
-    start_point_sampler,
-], ids=["build_dynamics", "ClassPointIndex", "start_point_sampler"])
+    start_points,
+], ids=["build_dynamics", "ClassPointIndex", "start_points"])
 @pytest.mark.parametrize("corpus, message", [
     ([_A], r"class 1: unknown member trajectories \['b'\]"),
     ([_A, _B, Trajectory("b", np.array([[5.0, 5.0], [6.0, 6.0]]))],
@@ -402,11 +403,13 @@ def test_ranksum_p_propagates_nan(x, y):
     ({"coarse_prob": 2.0}, r"coarse_prob must be in \[0, 1\]"),
     ({"mode": "lead_in", "lead_in_fractions": (0.5, 1.5)}, "lead_in_fraction must be in"),
     ({"mode": "bogus"}, "unknown observation mode 'bogus'"),
-    ({"eval_level": -1.0}, "snapshot levels must be finite and >= 0"),
-    ({"coarse_level": -1.0}, "snapshot levels must be finite and >= 0"),
-    ({"eval_level": math.inf}, "snapshot levels must be finite and >= 0"),
+    ({"eval_level": -1.0}, "eval_level must be finite and >= 0"),
+    ({"coarse_level": -1.0}, "coarse_level must be finite and >= 0"),
+    ({"eval_level": math.inf}, "eval_level must be finite and >= 0"),
     ({"n_particles": 2.5}, "particle count must be a whole number"),
     ({"depletion": "0.1"}, r"depletion fraction must be in \[0, 1\)"),
+    ({"seed": -1}, "seed must be a whole number >= 0 or a SeedSequence, got -1"),
+    ({"corpus_seed": 1.5}, "seed must be a whole number >= 0 or a SeedSequence, got 1.5"),
 ])
 def test_run_experiment_checks_config_before_building_the_corpus(monkeypatch, overrides,
                                                                  message):

@@ -116,7 +116,8 @@ def test_coarse_level_with_no_class_alive_is_rejected(level):
     with pytest.raises(InvalidInputError, match=f"no class is alive at level {level!r}"):
         gen_coarse([0.5, 0.5], 0.01, index, level, np.random.default_rng(0), 1.0)
     if not math.isfinite(level):
-        with pytest.raises(InvalidInputError, match=f"no class is alive at level {level!r}"):
+        with pytest.raises(InvalidInputError, match=f"no class is alive at level {level!r}"
+                                                    ": coarse_level must be finite and >= 0"):
             ObsConfig(psi=0.01, coarse_level=level)
 
 
@@ -225,6 +226,8 @@ def test_config_validation():
         ObsConfig(psi=0.1, coarse_prob=1.5)
     with pytest.raises(InvalidInputError):
         ObsConfig(psi=0.1, mode="bogus")
+    with pytest.raises(InvalidInputError, match="level -1.0: coarse_level must be finite"):
+        ObsConfig(psi=0.1, coarse_level=-1.0)
 
 
 @pytest.mark.parametrize("line, message", [

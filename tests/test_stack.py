@@ -15,9 +15,10 @@ from mhpf.obsgen import ClassPointIndex, bbox_diagonal, gen_coarse, gen_fine
 from mhpf.seeding import PHASE_OBSERVE, child_seed, substream
 from mhpf.stack import (CoarseObservation, FilterStack, FineObservation, LeafParticleFilter,
                         bounded_log_weights, check_consistency, split_counts,
-                        start_point_sampler)
+                        start_points)
 
-from helpers import ReferenceLeafFilter, random_corpus, reference_leaf_masses, reference_rebuild
+from helpers import (ReferenceLeafFilter, apply_observation, random_corpus, reference_leaf_masses,
+                     reference_rebuild, start_sampler)
 
 N = 100
 
@@ -35,7 +36,7 @@ def hand_stack(hand_tree):
     trajs = hand_trajectories()
     dyn = build_dynamics(hand_tree, trajs, kappa=0.0, epsilon_floor=0.5)
     prior = {c: 1.0 / 3.0 for c in hand_tree.leaves()}
-    return FilterStack(hand_tree, dyn, prior, start_point_sampler(hand_tree, trajs),
+    return FilterStack(hand_tree, dyn, prior, start_points(hand_tree, trajs),
                        N, 0.01, seed=123)
 
 
@@ -50,7 +51,7 @@ def force_counts(stack, counts):
     stack.leaf_labels = labels
     stack.leaf_weights = np.full(stack.n_particles, 1.0 / stack.n_particles)
     rebuild_from_leaves(stack)
-    stack.prev_probs = dict(stack.class_probs)
+    stack._prev_masses = stack._masses
 
 
 def under(stack, node_ids):
@@ -70,7 +71,7 @@ def test_init_uniform_prior_counts_and_weights(hand_stack):
 def test_init_concentrated_prior(hand_tree):
     trajs = hand_trajectories()
     dyn = build_dynamics(hand_tree, trajs, kappa=0.0, epsilon_floor=0.5)
-    stack = FilterStack(hand_tree, dyn, {1: 1.0}, start_point_sampler(hand_tree, trajs),
+    stack = FilterStack(hand_tree, dyn, {1: 1.0}, start_points(hand_tree, trajs),
                         N, 0.0, seed=5)
     assert stack.class_probs[1] == 1.0
     assert stack.class_probs[3] == 1.0
@@ -83,7 +84,7 @@ def test_init_rejects_non_leaf_prior(hand_tree):
     trajs = hand_trajectories()
     dyn = build_dynamics(hand_tree, trajs, kappa=0.0, epsilon_floor=0.5)
     with pytest.raises(InvalidInputError):
-        FilterStack(hand_tree, dyn, {3: 1.0}, start_point_sampler(hand_tree, trajs),
+        FilterStack(hand_tree, dyn, {3: 1.0}, start_points(hand_tree, trajs),
                     N, 0.0, seed=5)
 
 
@@ -93,10 +94,10 @@ def both_filters(hand_tree):
     trajs = hand_trajectories()
     leaves = hand_tree.leaves()
     dyn = build_dynamics(hand_tree, trajs, kappa=0.5, epsilon_floor=0.5)
-    sampler = start_point_sampler(hand_tree, trajs)
-    return [lambda prior, n: FilterStack(hand_tree, dyn, prior, sampler, n, 0.01, seed=5),
+    starts = start_points(hand_tree, trajs)
+    return [lambda prior, n: FilterStack(hand_tree, dyn, prior, starts, n, 0.01, seed=5),
             lambda prior, n: LeafParticleFilter(leaves, {c: dyn[c] for c in leaves}, prior,
-                                                sampler, n, 0.01, 5)]
+                                                starts, n, 0.01, 5)]
 
 
 UNIFORM_PRIOR = {0: 1.0, 1: 1.0, 2: 1.0}
@@ -130,6 +131,59 @@ def test_init_rejects_bad_particle_count_in_both_filters(hand_tree, n_particles,
             make(UNIFORM_PRIOR, n_particles)
 
 
+def both_filters_over(hand_tree, dyn, starts, seed=5):
+    """FilterStack and LeafParticleFilter on the hand tree's leaves with a uniform
+    prior, as functions of nothing."""
+    return [lambda: FilterStack(hand_tree, dyn, UNIFORM_PRIOR, starts, N, 0.01, seed),
+            lambda: LeafParticleFilter(hand_tree.leaves(), dyn, UNIFORM_PRIOR, starts, N, 0.01,
+                                       seed)]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda dyn, starts: dyn.pop(1), "class 1 has no dynamics"),
+    (lambda dyn, starts: starts.pop(2), "class 2 has no start point"),
+    (lambda dyn, starts: starts.update({0: np.array([np.nan, 0.0])}),
+     "class 0: start point must be 2 finite coordinates"),
+    (lambda dyn, starts: starts.update({0: np.array([0.0, np.inf])}),
+     "class 0: start point must be 2 finite coordinates"),
+    (lambda dyn, starts: starts.update({0: np.zeros(3)}),
+     "class 0: start point must be 2 finite coordinates"),
+], ids=["no_dynamics", "no_start_point", "nan_start_point", "inf_start_point",
+        "3d_start_point"])
+def test_init_rejects_missing_dynamics_or_bad_start_point_in_both_filters(hand_tree, edit,
+                                                                         message):
+    # Without the check, a class without dynamics failed in the first step
+    # with a raw KeyError, after the step counter had moved.
+    trajs = hand_trajectories()
+    dyn = build_dynamics(hand_tree, trajs, kappa=0.5, epsilon_floor=0.5)
+    starts = start_points(hand_tree, trajs)
+    edit(dyn, starts)
+    for make in both_filters_over(hand_tree, dyn, starts):
+        with pytest.raises(InvalidInputError, match=message):
+            make()
+
+
+@pytest.mark.parametrize("seed", [1.5, -1, "1", None, np.float64(2.0)])
+def test_init_rejects_a_seed_that_is_not_a_whole_number_in_both_filters(hand_tree, seed):
+    # Without the check, seed 1.5 silently ran seed 1.
+    trajs = hand_trajectories()
+    dyn = build_dynamics(hand_tree, trajs, kappa=0.5, epsilon_floor=0.5)
+    starts = start_points(hand_tree, trajs)
+    for make in both_filters_over(hand_tree, dyn, starts, seed):
+        with pytest.raises(InvalidInputError, match="seed must be a whole number >= 0"):
+            make()
+
+
+def test_numpy_integer_seed_matches_int(hand_tree):
+    trajs = hand_trajectories()
+    dyn = build_dynamics(hand_tree, trajs, kappa=0.5, epsilon_floor=0.5)
+    starts = start_points(hand_tree, trajs)
+    obs = [FineObservation(np.array([1.0, 0.2]))]
+    for a, b in zip(both_filters_over(hand_tree, dyn, starts, np.int64(5)),
+                    both_filters_over(hand_tree, dyn, starts, 5)):
+        assert a().step(obs) == b().step(obs)
+
+
 def test_whole_float_particle_count_matches_int(hand_tree):
     obs = [FineObservation(np.array([1.0, 0.2]))]
     for make in both_filters(hand_tree):
@@ -150,7 +204,7 @@ def test_rebuild_two_leaf_additivity():
     trajs = [Trajectory("0", np.array([[0.0, 0.0], [1.0, 0.0]])),
              Trajectory("1", np.array([[0.0, 1.0], [1.0, 1.0]]))]
     dyn = build_dynamics(tree, trajs, kappa=0.0, epsilon_floor=0.5)
-    stack = FilterStack(tree, dyn, {0: 0.5, 1: 0.5}, start_point_sampler(tree, trajs),
+    stack = FilterStack(tree, dyn, {0: 0.5, 1: 0.5}, start_points(tree, trajs),
                         4, 0.0, seed=1)
     force_counts(stack, {0: 2, 1: 2})
     stack.leaf_weights = np.array([0.375, 0.375, 0.125, 0.125])
@@ -219,7 +273,7 @@ def test_particles_of_internal_node_is_leaf_particles_under_it(fixed_corpus, fix
     dyn = build_dynamics(fixed_tree, fixed_corpus, kappa=0.4,
                          epsilon_floor=2 * mean_spacing(fixed_corpus))
     prior = {c: 1.0 / fixed_tree.leaf_count for c in fixed_tree.leaves()}
-    stack = FilterStack(fixed_tree, dyn, prior, start_point_sampler(fixed_tree, fixed_corpus),
+    stack = FilterStack(fixed_tree, dyn, prior, start_points(fixed_tree, fixed_corpus),
                         N, 0.01, seed=21)
     level = fixed_tree.unique_births()[3]
     cls = sorted(fixed_tree.alive_at(level))[0]
@@ -228,12 +282,12 @@ def test_particles_of_internal_node_is_leaf_particles_under_it(fixed_corpus, fix
     assert_nodes_hold_leaf_particles(stack)
     # Mid-step: after prediction and an update, before resampling.
     stack._t += 1
-    stack.prev_probs = dict(stack.class_probs)
+    stack._prev_masses = stack._masses
     stack.predict()
-    stack.update(FineObservation(truth[2]))
+    apply_observation(stack, FineObservation(truth[2]))
     assert not np.all(stack.leaf_weights == stack.leaf_weights[0])
     assert_nodes_hold_leaf_particles(stack)
-    stack.update(CoarseObservation(cls, level))
+    apply_observation(stack, CoarseObservation(cls, level))
     assert_nodes_hold_leaf_particles(stack)
 
 
@@ -245,7 +299,7 @@ def test_chain_tree_every_level_holds_n():
     tree = single_linkage(d, member_ids=[t.id for t in trajs])
     dyn = build_dynamics(tree, trajs, kappa=0.0, epsilon_floor=0.2)
     prior = {c: 1.0 / 5.0 for c in tree.leaves()}
-    stack = FilterStack(tree, dyn, prior, start_point_sampler(tree, trajs), N, 0.0, seed=3)
+    stack = FilterStack(tree, dyn, prior, start_points(tree, trajs), N, 0.0, seed=3)
     for b in tree.unique_births():
         assert under(stack, tree.alive_ids(b)).sum() == N
     check_consistency(stack)
@@ -261,7 +315,7 @@ def test_predict_preserves_labels(hand_stack):
 def test_predict_kappa_zero_moves_along_trajectory(hand_tree):
     trajs = hand_trajectories()
     dyn = build_dynamics(hand_tree, trajs, kappa=0.0, epsilon_floor=0.5)
-    stack = FilterStack(hand_tree, dyn, {0: 1.0}, start_point_sampler(hand_tree, trajs),
+    stack = FilterStack(hand_tree, dyn, {0: 1.0}, start_points(hand_tree, trajs),
                         1, 0.0, seed=2)
     assert np.array_equal(stack.leaf_positions[0], [0.0, 0.0])
     stack._t = 1
@@ -275,7 +329,7 @@ def test_step_bit_identical_across_runs(hand_tree):
     def run():
         dyn = build_dynamics(hand_tree, trajs, kappa=0.5, epsilon_floor=0.5)
         prior = {c: 1.0 / 3.0 for c in hand_tree.leaves()}
-        stack = FilterStack(hand_tree, dyn, prior, start_point_sampler(hand_tree, trajs),
+        stack = FilterStack(hand_tree, dyn, prior, start_points(hand_tree, trajs),
                             N, 0.01, seed=77)
         obs = [
             [FineObservation(np.array([1.0, 0.2]))],
@@ -299,7 +353,7 @@ def test_fine_update_nearest_particle_wins(hand_stack):
     target = stack.leaf_positions[7].copy()
     stack.leaf_positions += np.linspace(0, 5, N)[:, None]  # spread everyone out
     stack.leaf_positions[7] = target
-    stack.update(FineObservation(target))
+    apply_observation(stack, FineObservation(target))
     assert np.argmax(stack.leaf_weights) == 7
 
 
@@ -307,7 +361,7 @@ def test_fine_update_all_equidistant_resets_uniform(hand_stack):
     stack = hand_stack
     stack.leaf_positions = np.zeros_like(stack.leaf_positions)
     before = stack.diagnostics["uniform_resets"]
-    stack.update(FineObservation(np.array([3.0, 4.0])))
+    apply_observation(stack, FineObservation(np.array([3.0, 4.0])))
     assert stack.diagnostics["uniform_resets"] == before + 1
     assert np.all(stack.leaf_weights == 1.0 / N)
 
@@ -315,7 +369,7 @@ def test_fine_update_all_equidistant_resets_uniform(hand_stack):
 def test_coarse_update_equal_weights_within_class(hand_stack):
     stack = hand_stack
     force_counts(stack, {0: 50, 1: 30, 2: 20})
-    stack.update(CoarseObservation(3, 1.5))
+    apply_observation(stack, CoarseObservation(3, 1.5))
     w3 = stack.leaf_weights[under(stack, [3])[0]].tolist()
     assert len(w3) == 80
     assert len(set(w3)) == 1
@@ -325,7 +379,7 @@ def test_coarse_update_equal_weights_within_class(hand_stack):
 def test_coarse_update_observed_class_beats_sibling(hand_stack):
     stack = hand_stack
     force_counts(stack, {0: 50, 1: 30, 2: 20})
-    stack.update(CoarseObservation(3, 1.5))
+    apply_observation(stack, CoarseObservation(3, 1.5))
     in3, in2 = under(stack, [3, 2])
     w3, w2 = stack.leaf_weights[in3], stack.leaf_weights[in2]
     assert len(w2) == 20
@@ -341,7 +395,7 @@ def test_coarse_update_observed_class_beats_sibling(hand_stack):
 def test_coarse_update_scales_leaves_proportionally(hand_stack):
     stack = hand_stack
     force_counts(stack, {0: 50, 1: 30, 2: 20})
-    stack.update(CoarseObservation(3, 1.5))
+    apply_observation(stack, CoarseObservation(3, 1.5))
     assert stack.class_probs[0] == pytest.approx(0.5 / 0.8, abs=1e-12)
     assert stack.class_probs[1] == pytest.approx(0.3 / 0.8, abs=1e-12)
     # Within-class leaf weights stay equal after the ratio scaling.
@@ -358,15 +412,15 @@ def test_coarse_at_root_level_preserves_leaf_ratio():
     trajs = [Trajectory("0", np.array([[0.0, 0.0], [1.0, 0.0]])),
              Trajectory("1", np.array([[0.0, 1.0], [1.0, 1.0]]))]
     dyn = build_dynamics(tree, trajs, kappa=0.0, epsilon_floor=0.5)
-    stack = FilterStack(tree, dyn, {0: 0.5, 1: 0.5}, start_point_sampler(tree, trajs),
+    stack = FilterStack(tree, dyn, {0: 0.5, 1: 0.5}, start_points(tree, trajs),
                         4, 0.0, seed=1)
     force_counts(stack, {0: 2, 1: 2})
     stack.leaf_weights = np.array([0.375, 0.375, 0.125, 0.125])
     rebuild_from_leaves(stack)
-    stack.prev_probs = dict(stack.class_probs)
+    stack._prev_masses = stack._masses
     before = dict(stack.class_probs)
     resets = stack.diagnostics["uniform_resets"]
-    stack.update(CoarseObservation(tree.root, tree.root_birth))
+    apply_observation(stack, CoarseObservation(tree.root, tree.root_birth))
     # A single alive class carries no information: uniform reset, ratios kept.
     assert stack.diagnostics["uniform_resets"] == resets + 1
     assert stack.class_probs[0] == pytest.approx(before[0])
@@ -377,7 +431,7 @@ def test_coarse_at_root_level_preserves_leaf_ratio():
 
 def test_coarse_dead_class_rejected(hand_stack):
     with pytest.raises(InvalidInputError):
-        hand_stack.update(CoarseObservation(0, 1.5))  # leaf 0 dead at 1.5
+        apply_observation(hand_stack, CoarseObservation(0, 1.5))  # leaf 0 dead at 1.5
 
 
 def test_resample_one_hot_weight_copies_winner(hand_stack):
@@ -484,7 +538,7 @@ def test_consistency_over_random_trees_and_mixed_streams():
         dyn = build_dynamics(tree, corpus, kappa=float(rng.uniform(0.0, 1.0)),
                              epsilon_floor=2 * mean_spacing(corpus))
         stack = FilterStack(tree, dyn, {c: 1.0 for c in tree.leaves()},
-                            start_point_sampler(tree, corpus), int(rng.integers(5, 60)),
+                            start_points(tree, corpus), int(rng.integers(5, 60)),
                             float(rng.choice([0.0, 0.05, 0.3])), seed=trial)
         births = tree.unique_births()
         levels = births + [(a + b) / 2 for a, b in zip(births, births[1:])] + [births[-1] + 1.0]
@@ -519,11 +573,11 @@ def test_particles_at_level(hand_stack):
 def test_level_weights_normalized_after_updates(hand_stack):
     stack = hand_stack
     force_counts(stack, {0: 50, 1: 30, 2: 20})
-    stack.update(CoarseObservation(3, 1.5))
+    apply_observation(stack, CoarseObservation(3, 1.5))
     for b in (0.0, 1.5, 2.0):
         total = (under(stack, stack.tree.alive_ids(b)) @ stack.leaf_weights).sum()
         assert total == pytest.approx(1.0, abs=1e-9)
-    stack.update(FineObservation(np.array([1.0, 0.1])))
+    apply_observation(stack, FineObservation(np.array([1.0, 0.1])))
     total = (under(stack, stack.tree.alive_ids(0.0)) @ stack.leaf_weights).sum()
     assert total == pytest.approx(1.0, abs=1e-9)
 
@@ -533,10 +587,11 @@ def test_fine_only_bottom_level_matches_bl1_on_nested_tree(fixed_corpus, fixed_t
     dyn = build_dynamics(fixed_tree, corpus, kappa=0.4, epsilon_floor=2 * mean_spacing(corpus))
     leaves = fixed_tree.leaves()
     prior = {c: 1.0 / len(leaves) for c in leaves}
-    sampler = start_point_sampler(fixed_tree, corpus)
+    starts = start_points(fixed_tree, corpus)
     seed = child_seed(2024, 0, 0)
-    stack = FilterStack(fixed_tree, dyn, prior, sampler, N, 0.01, seed)
-    pf = ReferenceLeafFilter(leaves, {c: dyn[c] for c in leaves}, prior, sampler, N, 0.01, seed)
+    stack = FilterStack(fixed_tree, dyn, prior, starts, N, 0.01, seed)
+    pf = ReferenceLeafFilter(leaves, {c: dyn[c] for c in leaves}, prior, start_sampler(starts), N,
+                             0.01, seed)
     scale = bbox_diagonal(corpus)
     rng = substream(96, PHASE_OBSERVE)
     truth = corpus[6].points
@@ -583,7 +638,7 @@ def test_step_rejects_bad_observation_without_changing_state(hand_tree, name):
     def make():
         dyn = build_dynamics(hand_tree, trajs, kappa=0.5, epsilon_floor=0.5)
         prior = {c: 1.0 / 3.0 for c in hand_tree.leaves()}
-        stack = FilterStack(hand_tree, dyn, prior, start_point_sampler(hand_tree, trajs),
+        stack = FilterStack(hand_tree, dyn, prior, start_points(hand_tree, trajs),
                             N, 0.01, seed=31)
         stack.step([FineObservation(np.array([1.0, 0.2])), CoarseObservation(3, 1.5)])
         return stack
@@ -634,7 +689,7 @@ def test_update_rejects_bad_observation(hand_stack):
     before = stack_state(hand_stack)
     for name in ("nan_position", "3d_position", "dead_class"):
         with pytest.raises(InvalidInputError):
-            hand_stack.update(BAD_OBSERVATIONS[name][0])
+            apply_observation(hand_stack, BAD_OBSERVATIONS[name][0])
     after = stack_state(hand_stack)
     for a, b in zip(after[1:4], before[1:4]):
         assert np.array_equal(a, b)
@@ -663,7 +718,7 @@ def test_non_contiguous_leaf_ids_step_like_the_original(hand_tree, new_ids):
     def make(tree):
         dyn = build_dynamics(tree, trajs, kappa=0.0, epsilon_floor=0.5)
         prior = {c: 1.0 / 3.0 for c in tree.leaves()}
-        return FilterStack(tree, dyn, prior, start_point_sampler(tree, trajs), N, 0.05, seed=8)
+        return FilterStack(tree, dyn, prior, start_points(tree, trajs), N, 0.05, seed=8)
 
     tree = relabelled(hand_tree, new_ids)
     assert tree.leaves() == [5, 7, 9]
@@ -731,7 +786,7 @@ def test_resample_rejects_negative_or_non_finite_weights(hand_stack, hand_tree, 
     leaves = hand_tree.leaves()
     dyn = build_dynamics(hand_tree, trajs, kappa=0.5, epsilon_floor=0.5)
     pf = LeafParticleFilter(leaves, {c: dyn[c] for c in leaves}, {c: 1.0 for c in leaves},
-                            start_point_sampler(hand_tree, trajs), N, 0.01, 31)
+                            start_points(hand_tree, trajs), N, 0.01, 31)
     w = np.full(N, 1.0 / N)
     w[3] = bad
     hand_stack.leaf_weights, pf.leaf_weights = w.copy(), w.copy()
@@ -750,7 +805,7 @@ def test_labels_reject_in_place_writes(hand_stack, hand_tree):
     leaves = hand_tree.leaves()
     dyn = build_dynamics(hand_tree, trajs, kappa=0.5, epsilon_floor=0.5)
     pf = LeafParticleFilter(leaves, {c: dyn[c] for c in leaves}, {c: 1.0 for c in leaves},
-                            start_point_sampler(hand_tree, trajs), N, 0.01, 31)
+                            start_points(hand_tree, trajs), N, 0.01, 31)
     for labels in (hand_stack.leaf_labels, pf.leaf_labels):
         with pytest.raises(ValueError):
             labels[0] = 0
@@ -785,9 +840,9 @@ def test_one_stream_per_step(monkeypatch, fixed_corpus, fixed_tree):
                          epsilon_floor=2 * mean_spacing(fixed_corpus))
     leaves = fixed_tree.leaves()
     prior = {c: 1.0 / len(leaves) for c in leaves}
-    sampler = start_point_sampler(fixed_tree, fixed_corpus)
-    stack = FilterStack(fixed_tree, dyn, prior, sampler, N, 0.05, seed=3)
-    pf = LeafParticleFilter(leaves, {c: dyn[c] for c in leaves}, prior, sampler, N, 0.05, 3)
+    starts = start_points(fixed_tree, fixed_corpus)
+    stack = FilterStack(fixed_tree, dyn, prior, starts, N, 0.05, seed=3)
+    pf = LeafParticleFilter(leaves, {c: dyn[c] for c in leaves}, prior, starts, N, 0.05, 3)
     # Both filters draw from stack's streams; evaluation draws none.
     assert calls == {"stack": 2, "evaluation": 0}
     level = fixed_tree.unique_births()[3]
@@ -810,7 +865,7 @@ def test_mixed_run_snapshots_match_golden(fixed_corpus, fixed_tree):
     dyn = build_dynamics(fixed_tree, fixed_corpus, kappa=0.3,
                          epsilon_floor=2 * mean_spacing(fixed_corpus))
     prior = {c: 1.0 / fixed_tree.leaf_count for c in fixed_tree.leaves()}
-    stack = FilterStack(fixed_tree, dyn, prior, start_point_sampler(fixed_tree, fixed_corpus),
+    stack = FilterStack(fixed_tree, dyn, prior, start_points(fixed_tree, fixed_corpus),
                         N, 0.01, seed=2718)
     scale = bbox_diagonal(fixed_corpus)
     index = ClassPointIndex(fixed_tree, fixed_corpus)
@@ -861,7 +916,7 @@ def test_ternary_tree_run_snapshots_match_golden():
               for i in range(6)]
     dyn = build_dynamics(tree, corpus, kappa=0.3, epsilon_floor=2 * mean_spacing(corpus))
     stack = FilterStack(tree, dyn, {3: 1.0, 4: 1.0, 5: 1.0},
-                        start_point_sampler(tree, corpus), 60, 0.05, seed=99)
+                        start_points(tree, corpus), 60, 0.05, seed=99)
     scale = bbox_diagonal(corpus)
     index = ClassPointIndex(tree, corpus)
     births = tree.unique_births()
@@ -911,7 +966,7 @@ def rebuild_every_level_against_reference(stack, rng):
         return w
 
     stack.rebuild_tree(tree.partition(tree.leaves()), random_weights())
-    stack.prev_probs = stack.class_probs
+    stack._prev_masses = stack._masses
     stack.leaf_labels = rng.choice(tree.leaves(), size=n)
     for b in tree.unique_births():
         assert_rebuild_matches_reference(stack, tree.partition(tree.alive_ids(b)),
@@ -928,7 +983,7 @@ def test_rebuild_matches_reference_on_random_trees():
         # Leaves outside the prior start with no mass: their parents can be exhausted.
         prior = {c: 1.0 for c in rng.choice(leaves, size=int(rng.integers(1, len(leaves) + 1)),
                                               replace=False).tolist()}
-        stack = FilterStack(tree, dyn, prior, start_point_sampler(tree, corpus),
+        stack = FilterStack(tree, dyn, prior, start_points(tree, corpus),
                             int(rng.integers(5, 60)), 0.0, seed=trial)
         rebuild_every_level_against_reference(stack, rng)
 
@@ -940,7 +995,7 @@ def ternary_stack(prior, seed):
     corpus = [Trajectory(str(i), np.column_stack([steps / 3.0, 1.5 * i + np.sin(steps)]))
               for i in range(6)]
     dyn = build_dynamics(tree, corpus, kappa=0.3, epsilon_floor=2 * mean_spacing(corpus))
-    return FilterStack(tree, dyn, prior, start_point_sampler(tree, corpus), 60, 0.0, seed=seed)
+    return FilterStack(tree, dyn, prior, start_points(tree, corpus), 60, 0.0, seed=seed)
 
 
 def test_rebuild_matches_reference_on_ternary_tree():
