@@ -52,6 +52,13 @@ class ClassDynamics:
     centered_noise: bool = False
 
     def __post_init__(self):
+        # A float64 array, read-only or not, passes through uncopied.
+        for name in ("positions", "velocities"):
+            try:
+                setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+            except (TypeError, ValueError):
+                raise InvalidInputError(f"class {self.class_id}: {name} must be an array "
+                                        "of numbers") from None
         if self.positions.ndim != 2 or self.positions.shape != self.velocities.shape:
             raise InvalidInputError(f"class {self.class_id}: malformed sample arrays")
         if len(self.positions) == 0:
@@ -128,46 +135,51 @@ class ClassDynamics:
         return zs + vels + noise, flags
 
 
+def _joined(arrays):
+    """The arrays stacked along rows; a lone array comes back as it is, uncopied."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
 def harvest_samples(trajectories):
     """(positions, velocities) pairs from consecutive points of each trajectory.
 
     A trajectory of P points contributes P-1 samples with velocity
     next - current (its cached `velocities`); single-point trajectories
-    contribute nothing.
+    contribute nothing. When one trajectory contributes every sample, the
+    arrays are its read-only `points[:-1]` and `velocities` themselves.
     """
-    if not any(len(t) >= 2 for t in trajectories):
+    multi = [t for t in trajectories if len(t) >= 2]
+    if not multi:
         return np.empty((0, 0)), np.empty((0, 0))
-    return (np.concatenate([t.points[:-1] for t in trajectories]),
-            np.concatenate([t.velocities for t in trajectories]))
+    return _joined([t.points[:-1] for t in multi]), _joined([t.velocities for t in multi])
 
 
 def build_dynamics(tree, trajectories, kappa: float, epsilon_floor: float,
                    centered_noise: bool = False) -> dict[int, ClassDynamics]:
-    """One ClassDynamics per leaf class plus one for the root, which pools every member.
+    """One ClassDynamics per leaf class of `tree`, and nothing more.
 
     The filter stack and the leaf-class baseline move particles by their leaf
-    class; the pooled baseline follows the root. The neighborhood radius of a
-    class is its birth index floored at `epsilon_floor` (leaves are born at
-    0, so the floor is what keeps their balls non-degenerate).
+    class. The neighborhood radius of a class is its birth index floored at
+    `epsilon_floor` (leaves are born at 0, so the floor is what keeps their
+    balls non-degenerate). A leaf with one member trajectory shares that
+    trajectory's cached arrays, uncopied. The pooled baseline is the one
+    leaf of a `single_class_tree` over the corpus, with the root's radius
+    as the floor (`evaluation.run_bl2`).
     """
     check_epsilon_floor(epsilon_floor)
-    classes = tree.leaf_trajectories(trajectories)
-    pool = sorted((t for ts in classes.values() for t in ts), key=lambda t: t.id)
     out: dict[int, ClassDynamics] = {}
-    for nid in sorted(classes.keys() | {tree.root}):
-        node = tree.nodes[nid]
-        member_trajs = classes.get(nid, pool)
-        positions, velocities = harvest_samples(member_trajs)
+    for nid, members in tree.leaf_trajectories(trajectories).items():
+        positions, velocities = harvest_samples(members)
         if positions.size == 0:
             raise InvalidInputError(f"class {nid} has no dynamics samples "
                                     "(all member trajectories are single points)")
         # The members' cached speeds, in sample order: the row norms of `velocities`.
-        scale = float(np.concatenate([t.speeds for t in member_trajs]).mean())
+        scale = float(_joined([t.speeds for t in members if len(t) >= 2]).mean())
         out[nid] = ClassDynamics(
             class_id=nid,
             positions=positions,
             velocities=velocities,
-            epsilon=max(node.birth, epsilon_floor),
+            epsilon=max(tree.nodes[nid].birth, epsilon_floor),
             kappa=float(kappa),
             velocity_scale=scale,
             centered_noise=centered_noise,

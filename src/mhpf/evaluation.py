@@ -20,7 +20,7 @@ import csv
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -75,10 +75,12 @@ def convergence_time(series, root_birth: float):
 
 @dataclass
 class Scenario:
-    """One held-out trial: corpus, tree, dynamics, and the ground truth.
+    """One held-out trial: corpus, tree, leaf dynamics, and the ground truth.
 
     The dynamics radius floor `epsilon_floor` defaults to twice the corpus's
-    mean point spacing.
+    mean point spacing and is stored resolved. `dynamics_base` holds one
+    ClassDynamics per leaf, at kappa 0; the pooled baseline builds its own
+    class per trial (`run_bl2`).
     """
 
     index: int
@@ -86,17 +88,17 @@ class Scenario:
     tree: object
     truth: Trajectory | None
     truth_leaf: int | None
-    epsilon_floor: InitVar[float | None] = None
+    epsilon_floor: float | None = None
     scale: float = field(init=False)
     dynamics_base: dict = field(init=False, repr=False)
     point_index: ClassPointIndex = field(init=False, repr=False)
 
-    def __post_init__(self, epsilon_floor):
-        if epsilon_floor is None:
-            epsilon_floor = 2.0 * mean_spacing(self.corpus)
+    def __post_init__(self):
+        if self.epsilon_floor is None:
+            self.epsilon_floor = 2.0 * mean_spacing(self.corpus)
         self.scale = bbox_diagonal(self.corpus)
         self.dynamics_base = build_dynamics(self.tree, self.corpus, kappa=0.0,
-                                            epsilon_floor=epsilon_floor)
+                                            epsilon_floor=self.epsilon_floor)
         self.point_index = ClassPointIndex(self.tree, self.corpus)
 
 
@@ -174,8 +176,9 @@ def make_observation_plan(scenario: Scenario, params: RunParams, seed, repeat: i
 def filter_args(scenario: Scenario, params: RunParams, seed) -> tuple:
     """The arguments FilterStack takes after the tree, for one trial.
 
-    The scenario's dynamics at `params.kappa`, a uniform leaf prior and the
-    leaves' mean start points, then the particle count, depletion and seed.
+    The scenario's leaf dynamics at `params.kappa` (copies that share the
+    sample arrays), a uniform leaf prior and the leaves' mean start points,
+    then the particle count, depletion and seed. BL2 reads only the last three.
     """
     tree = scenario.tree
     return ({nid: d.with_kappa(params.kappa) for nid, d in scenario.dynamics_base.items()},
@@ -230,16 +233,22 @@ def run_bl1(scenario: Scenario, params: RunParams, seed, repeat: int = 0,
 
 def run_bl2(scenario: Scenario, params: RunParams, seed, repeat: int = 0,
             plan=None) -> ScenarioResult:
-    """Single-class filter following the pooled root dynamics, scored as the root."""
-    root = scenario.tree.root
+    """Single-class filter over the pooled corpus, scored as the root.
+
+    Its one class is built for the trial: the dynamics of a
+    `single_class_tree` over the corpus at `params.kappa`, whose radius is
+    the root's birth floored at the scenario's `epsilon_floor`.
+    """
+    tree = scenario.tree
 
     def start(args, level):
-        dyn, _, _, n_particles, depletion, trial_seed = args
+        _, _, _, n_particles, depletion, trial_seed = args
         pooled = single_class_tree([t.id for t in scenario.corpus])
-        return LeafParticleFilter([0], {0: dyn[root]}, {0: 1.0},
-                                  start_points(pooled, scenario.corpus),
+        dyn = build_dynamics(pooled, scenario.corpus, params.kappa,
+                             max(tree.root_birth, scenario.epsilon_floor))
+        return LeafParticleFilter([0], dyn, {0: 1.0}, start_points(pooled, scenario.corpus),
                                   n_particles, depletion, trial_seed).step
-    return _trial(scenario, params, seed, repeat, plan, start, map_node=root)
+    return _trial(scenario, params, seed, repeat, plan, start, map_node=tree.root)
 
 
 _RUNNERS = {"mhpf": run_mhpf, "bl1": run_bl1, "bl2": run_bl2}

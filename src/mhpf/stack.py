@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import ClassDynamics
 from .errors import InvalidInputError
 from .seeding import PHASE_INIT, PHASE_PREDICT, as_seed_sequence, substream
 
@@ -218,8 +219,15 @@ def check_start_points(start_points: dict, dynamics: dict, class_ids: list) -> n
         for what, table in (("dynamics", dynamics), ("start point", start_points)):
             if c not in table:
                 raise InvalidInputError(f"class {c} has no {what}")
-        p, dim = np.asarray(start_points[c], dtype=float), dynamics[c].positions.shape[1]
-        if p.shape != (dim,) or not np.isfinite(p).all():
+        if not isinstance(dynamics[c], ClassDynamics):
+            raise InvalidInputError(f"class {c}: dynamics must be a ClassDynamics, "
+                                    f"got {type(dynamics[c]).__name__}")
+        dim = dynamics[c].positions.shape[1]
+        try:
+            p = np.asarray(start_points[c], dtype=float)
+        except (TypeError, ValueError):
+            p = None
+        if p is None or p.shape != (dim,) or not np.isfinite(p).all():
             raise InvalidInputError(f"class {c}: start point must be {dim} finite coordinates, "
                                     f"as its dynamics samples are, got {start_points[c]!r}")
     return np.array([start_points[c] for c in class_ids], dtype=float)

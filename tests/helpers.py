@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 
+from mhpf.dynamics import ClassDynamics
 from mhpf.filtration import ClusterNode, ClusterTree
 from mhpf.geometry import Trajectory, euclidean
 from mhpf.seeding import PHASE_INIT, PHASE_PREDICT, as_seed_sequence, substream
@@ -143,6 +144,24 @@ def reference_harvest(trajectories):
     velocities = np.vstack([np.diff(p, axis=0) for p in multi])
     scale = float(np.sqrt((velocities ** 2).sum(axis=1)).mean())
     return np.vstack([p[:-1] for p in multi]), velocities, scale
+
+
+def reference_pooled_dynamics(tree, trajectories, kappa: float,
+                              epsilon_floor: float) -> ClassDynamics:
+    """The pooled root class that `build_dynamics` once built beside the leaf classes.
+
+    Every leaf's members, sorted by id, each contributing its `points[:-1]`
+    and `velocities`, joined with one np.concatenate; the scale is the mean
+    of their joined speeds and the radius the root's birth floored at
+    `epsilon_floor`.
+    """
+    pool = sorted((t for ts in tree.leaf_trajectories(trajectories).values() for t in ts),
+                  key=lambda t: t.id)
+    return ClassDynamics(class_id=tree.root,
+                         positions=np.concatenate([t.points[:-1] for t in pool]),
+                         velocities=np.concatenate([t.velocities for t in pool]),
+                         epsilon=max(tree.root_birth, epsilon_floor), kappa=float(kappa),
+                         velocity_scale=float(np.concatenate([t.speeds for t in pool]).mean()))
 
 
 def reference_bbox_diagonal(trajectories) -> float:

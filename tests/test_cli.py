@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mhpf import evaluation
 from mhpf.cli import main
 from mhpf.filtration import ClusterTree
 from mhpf.geometry import Trajectory, save_trajectories
@@ -66,6 +67,23 @@ def test_filter_snapshots_deterministic(tmp_path):
     first = json.loads(outs[0].decode().splitlines()[0])
     assert set(first) == {"t", "levels", "point_estimate", "map_class"}
     assert [lvl["b"] for lvl in first["levels"]] == [0.0, 1.0]
+
+
+def test_filter_scenario_holds_leaf_dynamics_only(tmp_path, monkeypatch):
+    cpath = tmp_path / "c.jsonl"
+    run_cli(["gen", "--dataset", "fixed", "--out", str(cpath), "--seed", "3", "--n-points", "30"])
+    tpath = tmp_path / "tree.json"
+    run_cli(["cluster", "--trajectories", str(cpath), "--out-tree", str(tpath)])
+    scenarios = []
+    filter_args = evaluation.filter_args
+    monkeypatch.setattr(evaluation, "filter_args",
+                        lambda sc, *args: scenarios.append(sc) or filter_args(sc, *args))
+    assert run_cli(["filter", "--trajectories", str(cpath), "--tree", str(tpath),
+                    "--out", str(tmp_path / "s.jsonl"), "--seed", "5", "--truth-id", "fix02",
+                    "--epsilon-floor", "0.7"]) == 0
+    (scenario,) = scenarios
+    assert list(scenario.dynamics_base) == ClusterTree.load(tpath).leaves()
+    assert scenario.epsilon_floor == 0.7
 
 
 def test_filter_replays_observation_file(tmp_path):

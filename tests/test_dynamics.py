@@ -7,7 +7,7 @@ from helpers import ragged_corpus, reference_harvest
 from mhpf import dynamics
 from mhpf.dynamics import ClassDynamics, build_dynamics, harvest_samples
 from mhpf.errors import InvalidInputError
-from mhpf.filtration import single_linkage
+from mhpf.filtration import single_class_tree, single_linkage
 from mhpf.geometry import Trajectory, distance_matrix
 
 
@@ -57,28 +57,48 @@ def test_build_matches_reference_harvest_bit_for_bit(dim):
             assert d.velocity_scale == scale
 
 
+def pooled_radius(tree, trajs, floor):
+    """The radius of BL2's class as `evaluation.run_bl2` builds it."""
+    pooled = single_class_tree([t.id for t in trajs])
+    return build_dynamics(pooled, trajs, 0.0, max(tree.root_birth, floor))[0].epsilon
+
+
 def test_build_epsilon_rule():
     tree, trajs = line_corpus()
     dyn = build_dynamics(tree, trajs, kappa=0.0, epsilon_floor=0.1)
+    assert sorted(dyn) == tree.leaves()
     for leaf in tree.leaves():
         assert dyn[leaf].epsilon == 0.1
-    root = tree.root
-    assert dyn[root].epsilon == tree.nodes[root].birth == 1.0
+    # A floor below the root birth: the pooled class takes the birth.
+    assert pooled_radius(tree, trajs, 0.1) == tree.root_birth == 1.0
 
 
 def test_build_internal_epsilon_uses_birth():
     tree, trajs = line_corpus()
     dyn = build_dynamics(tree, trajs, kappa=0.0, epsilon_floor=2.5)
-    # Floor dominates a birth of 1.0.
-    assert dyn[tree.root].epsilon == 2.5
+    assert sorted(dyn) == tree.leaves()
+    assert all(d.epsilon == 2.5 for d in dyn.values())
+    # Floor dominates a root birth of 1.0.
+    assert pooled_radius(tree, trajs, 2.5) == 2.5
 
 
-def test_build_covers_leaves_and_root_only(hand_tree):
+def test_build_covers_leaves_only(hand_tree):
     trajs = [Trajectory(str(i), np.array([[0.0, y], [1.0, y]])) for i, y in enumerate((0, 1, 3))]
     dyn = build_dynamics(hand_tree, trajs, kappa=0.0, epsilon_floor=0.5)
     assert len(hand_tree.nodes) == 5
-    assert sorted(dyn) == sorted(hand_tree.leaves() + [hand_tree.root])
-    assert len(dyn[hand_tree.root].positions) == 3
+    assert list(dyn) == hand_tree.leaves()
+
+
+def test_single_member_leaf_shares_its_trajectory_arrays():
+    tree, trajs = line_corpus()
+    dyn = build_dynamics(tree, trajs, kappa=0.3, epsilon_floor=0.5)
+    for leaf, (t,) in tree.leaf_trajectories(trajs).items():
+        d = dyn[leaf]
+        assert d.positions.base is t.points and np.array_equal(d.positions, t.points[:-1])
+        assert d.velocities is t.velocities
+        assert not d.positions.flags.writeable and not d.velocities.flags.writeable
+        assert d.velocity_scale == float(t.speeds.mean())
+        assert d.with_kappa(0.1).positions is d.positions
 
 
 def test_build_rejects_zero_sample_class():

@@ -7,7 +7,7 @@ import pytest
 from scipy.stats import ranksums
 
 from helpers import (ReferenceLeafFilter, ragged_corpus, reference_bbox_diagonal,
-                     reference_mean_spacing, start_sampler)
+                     reference_mean_spacing, reference_pooled_dynamics, start_sampler)
 
 from mhpf import evaluation
 from mhpf.dynamics import build_dynamics
@@ -240,6 +240,45 @@ def test_build_scenario_rejects_a_full_matrix_of_the_wrong_shape(fixed_corpus, s
     corpus = fixed_corpus[:4]
     with pytest.raises(InvalidInputError, match="does not match 4 trajectories"):
         build_scenario(corpus, 3, full_matrix=np.zeros(shape))
+
+
+def bl2_class(monkeypatch, scenario, params):
+    """The one ClassDynamics that run_bl2 builds for a trial of the scenario."""
+    built = []
+
+    class Recording(LeafParticleFilter):
+        def __init__(self, class_ids, dynamics, *args):
+            built.append(dynamics)
+            super().__init__(class_ids, dynamics, *args)
+
+    monkeypatch.setattr(evaluation, "LeafParticleFilter", Recording)
+    run_bl2(scenario, params, seed=3, repeat=0)
+    (dynamics,) = built
+    assert list(dynamics) == [0]
+    return dynamics[0]
+
+
+@pytest.mark.parametrize("kind", ["fixed", "obstacle"])
+@pytest.mark.parametrize("floor", [None, 50.0], ids=["default_floor", "floor_above_root"])
+def test_bl2_class_equals_the_pooled_root_oracle(monkeypatch, kind, floor):
+    corpus = evaluation.load_corpus(ExperimentConfig(corpus_kind=kind, corpus_n=13, n_points=40,
+                                                     corpus_seed=11))
+    params = RunParams(kappa=0.3, psi=0.02)
+    for truth in (2, 9):
+        scenario = build_scenario(corpus, truth, epsilon_floor=floor, index=truth)
+        tree = scenario.tree
+        expected = 2.0 * mean_spacing(scenario.corpus) if floor is None else floor
+        assert scenario.epsilon_floor == expected
+        # The default floor lies below the root birth, 50 above it.
+        assert (scenario.epsilon_floor < tree.root_birth) == (floor is None)
+        assert list(scenario.dynamics_base) == tree.leaves()
+        got = bl2_class(monkeypatch, scenario, params)
+        oracle = reference_pooled_dynamics(tree, scenario.corpus, params.kappa, expected)
+        assert np.array_equal(got.positions, oracle.positions)
+        assert np.array_equal(got.velocities, oracle.velocities)
+        assert (got.epsilon, got.kappa, got.velocity_scale, got.centered_noise) == \
+            (oracle.epsilon, oracle.kappa, oracle.velocity_scale, oracle.centered_noise)
+        assert got.epsilon == max(tree.root_birth, expected)
 
 
 def test_bl2_tree_distance_is_root_birth(fixed_corpus):

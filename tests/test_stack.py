@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from mhpf.dynamics import build_dynamics
+from mhpf.dynamics import ClassDynamics, build_dynamics
 from mhpf.errors import InvalidInputError
 from mhpf.evaluation import mean_spacing
 from mhpf.filtration import ClusterTree, single_linkage
@@ -161,6 +161,28 @@ def test_init_rejects_missing_dynamics_or_bad_start_point_in_both_filters(hand_t
     for make in both_filters_over(hand_tree, dyn, starts):
         with pytest.raises(InvalidInputError, match=message):
             make()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda tree, dyn, starts: FilterStack(tree, dyn, UNIFORM_PRIOR, {**starts, 0: "x"}, N,
+                                           0.01, 5),
+     "class 0: start point must be 2 finite coordinates"),
+    (lambda tree, dyn, starts: LeafParticleFilter(tree.leaves(), {**dyn, 1: "fast"},
+                                                  UNIFORM_PRIOR, starts, N, 0.01, 5),
+     "class 1: dynamics must be a ClassDynamics, got str"),
+    (lambda tree, dyn, starts: ClassDynamics(3, [0.0, 1.0], np.zeros((2, 2)), 1.0, 0.0, 1.0),
+     "class 3: malformed sample arrays"),
+    (lambda tree, dyn, starts: ClassDynamics(3, np.array([["a", "b"]]), np.zeros((1, 2)), 1.0,
+                                             0.0, 1.0),
+     "class 3: positions must be an array of numbers"),
+], ids=["string_start_point", "dynamics_not_class_dynamics", "list_positions",
+        "string_positions"])
+def test_construction_names_the_class_of_a_malformed_input(hand_tree, make, message):
+    # These raised numpy's ValueError or TypeError, or AttributeError.
+    trajs = hand_trajectories()
+    with pytest.raises(InvalidInputError, match=message):
+        make(hand_tree, build_dynamics(hand_tree, trajs, kappa=0.5, epsilon_floor=0.5),
+             start_points(hand_tree, trajs))
 
 
 @pytest.mark.parametrize("seed", [1.5, -1, "1", None, np.float64(2.0)])
