@@ -8,8 +8,9 @@ the class's mean step length.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -66,14 +67,44 @@ class ClassDynamics:
         if not (np.isfinite(self.positions).all() and np.isfinite(self.velocities).all()):
             raise InvalidInputError(f"class {self.class_id}: non-finite sample positions "
                                     "or velocities")
+        self._check_radius_and_kappa()
+
+    def _check_radius_and_kappa(self) -> None:
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
             raise InvalidInputError(f"class {self.class_id}: epsilon must be finite and > 0, "
                                     f"got {self.epsilon!r}")
         check_kappa(self.kappa, f"class {self.class_id}: ")
 
+    @classmethod
+    def from_trajectory(cls, class_id: int, trajectory, epsilon: float, kappa: float,
+                        centered_noise: bool = False) -> "ClassDynamics":
+        """The class whose samples are one multi-point trajectory's steps.
+
+        Its positions and velocities are the trajectory's read-only
+        `points[:-1]` and `velocities`, uncopied, and its scale is the
+        trajectory's `mean_speed`. Those arrays are not checked again: a
+        `Trajectory` checks its points finite when it is made and its
+        velocities when they are first computed. `epsilon` and `kappa` are checked.
+        """
+        if len(trajectory) < 2:
+            raise InvalidInputError(f"class {class_id}: no dynamics samples")
+        out = cls.__new__(cls)
+        vars(out).update(class_id=class_id, positions=trajectory.points[:-1],
+                         velocities=trajectory.velocities, epsilon=epsilon, kappa=kappa,
+                         velocity_scale=trajectory.mean_speed, centered_noise=centered_noise)
+        out._check_radius_and_kappa()
+        return out
+
     def with_kappa(self, kappa: float) -> "ClassDynamics":
-        """Checked copy at another noise fraction, sharing the sample arrays."""
-        return replace(self, kappa=float(kappa))
+        """Copy at another noise fraction, sharing the sample arrays.
+
+        Only `kappa` is checked: the samples were checked when this class was made.
+        """
+        kappa = float(kappa)
+        check_kappa(kappa, f"class {self.class_id}: ")
+        out = copy.copy(self)
+        out.kappa = kappa
+        return out
 
     def _shepard(self, d: np.ndarray, inside: np.ndarray) -> np.ndarray:
         """Inverse-distance average over the ball, weighting the distances `d` in place.
@@ -135,23 +166,18 @@ class ClassDynamics:
         return zs + vels + noise, flags
 
 
-def _joined(arrays):
-    """The arrays stacked along rows; a lone array comes back as it is, uncopied."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
 def harvest_samples(trajectories):
     """(positions, velocities) pairs from consecutive points of each trajectory.
 
     A trajectory of P points contributes P-1 samples with velocity
     next - current (its cached `velocities`); single-point trajectories
-    contribute nothing. When one trajectory contributes every sample, the
-    arrays are its read-only `points[:-1]` and `velocities` themselves.
+    contribute nothing.
     """
     multi = [t for t in trajectories if len(t) >= 2]
     if not multi:
         return np.empty((0, 0)), np.empty((0, 0))
-    return _joined([t.points[:-1] for t in multi]), _joined([t.velocities for t in multi])
+    return (np.concatenate([t.points[:-1] for t in multi]),
+            np.concatenate([t.velocities for t in multi]))
 
 
 def build_dynamics(tree, trajectories, kappa: float, epsilon_floor: float,
@@ -161,27 +187,34 @@ def build_dynamics(tree, trajectories, kappa: float, epsilon_floor: float,
     The filter stack and the leaf-class baseline move particles by their leaf
     class. The neighborhood radius of a class is its birth index floored at
     `epsilon_floor` (leaves are born at 0, so the floor is what keeps their
-    balls non-degenerate). A leaf with one member trajectory shares that
-    trajectory's cached arrays, uncopied. The pooled baseline is the one
+    balls non-degenerate). A leaf with one multi-point member trajectory,
+    which is every leaf of a single-linkage tree, is
+    `ClassDynamics.from_trajectory`: it shares that trajectory's cached,
+    already checked arrays and its mean speed, uncopied. The pooled baseline is the one
     leaf of a `single_class_tree` over the corpus, with the root's radius
     as the floor (`evaluation.run_bl2`).
     """
     check_epsilon_floor(epsilon_floor)
     out: dict[int, ClassDynamics] = {}
     for nid, members in tree.leaf_trajectories(trajectories).items():
-        positions, velocities = harvest_samples(members)
-        if positions.size == 0:
+        multi = [t for t in members if len(t) >= 2]
+        if not multi:
             raise InvalidInputError(f"class {nid} has no dynamics samples "
                                     "(all member trajectories are single points)")
-        # The members' cached speeds, in sample order: the row norms of `velocities`.
-        scale = float(_joined([t.speeds for t in members if len(t) >= 2]).mean())
+        epsilon = max(tree.nodes[nid].birth, epsilon_floor)
+        if len(multi) == 1:
+            out[nid] = ClassDynamics.from_trajectory(nid, multi[0], epsilon, float(kappa),
+                                                     centered_noise)
+            continue
+        positions, velocities = harvest_samples(multi)
         out[nid] = ClassDynamics(
             class_id=nid,
             positions=positions,
             velocities=velocities,
-            epsilon=max(tree.nodes[nid].birth, epsilon_floor),
+            epsilon=epsilon,
             kappa=float(kappa),
-            velocity_scale=scale,
+            # The members' cached speeds, in sample order: the row norms of `velocities`.
+            velocity_scale=float(np.concatenate([t.speeds for t in multi]).mean()),
             centered_noise=centered_noise,
         )
     return out

@@ -21,7 +21,7 @@ import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.special import ndtr
@@ -80,7 +80,8 @@ class Scenario:
     The dynamics radius floor `epsilon_floor` defaults to twice the corpus's
     mean point spacing and is stored resolved. `dynamics_base` holds one
     ClassDynamics per leaf, at kappa 0; the pooled baseline builds its own
-    class per trial (`run_bl2`).
+    class per trial (`run_bl2`). `leaf_starts` is made on the first trial
+    that reads it, so building a scenario does not pay for it.
     """
 
     index: int
@@ -101,9 +102,15 @@ class Scenario:
                                             epsilon_floor=self.epsilon_floor)
         self.point_index = ClassPointIndex(self.tree, self.corpus)
 
+    @cached_property
+    def leaf_starts(self) -> dict:
+        """{leaf id: its members' mean start point} (`stack.start_points`), for every trial."""
+        return start_points(self.tree, self.corpus)
+
 
 def mean_spacing(trajectories) -> float:
-    vals = [t.arc_length() / (len(t) - 1) for t in trajectories if len(t) >= 2]
+    """Mean over the multi-point trajectories of their cached mean step length."""
+    vals = [t.mean_speed for t in trajectories if len(t) >= 2]
     if not vals:
         raise InvalidInputError("no multi-point trajectories")
     return float(np.mean(vals))
@@ -177,14 +184,13 @@ def filter_args(scenario: Scenario, params: RunParams, seed) -> tuple:
     """The arguments FilterStack takes after the tree, for one trial.
 
     The scenario's leaf dynamics at `params.kappa` (copies that share the
-    sample arrays), a uniform leaf prior and the leaves' mean start points,
-    then the particle count, depletion and seed. BL2 reads only the last three.
+    sample arrays), a uniform leaf prior and the scenario's `leaf_starts`,
+    then the particle count, depletion and seed.
     """
     tree = scenario.tree
     return ({nid: d.with_kappa(params.kappa) for nid, d in scenario.dynamics_base.items()},
             {c: 1.0 / tree.leaf_count for c in tree.leaves()},
-            start_points(tree, scenario.corpus),
-            params.n_particles, params.depletion, seed)
+            scenario.leaf_starts, params.n_particles, params.depletion, seed)
 
 
 def _eval_level(scenario: Scenario, params: RunParams) -> float:
@@ -196,7 +202,7 @@ def _eval_level(scenario: Scenario, params: RunParams) -> float:
 
 
 def _trial(scenario, params, seed, repeat, plan, start, map_node=None) -> ScenarioResult:
-    """Score, step by step, the filter whose step function `start(filter_args, level)` returns.
+    """Score, step by step, the filter whose step function `start(trial_seed, level)` returns.
 
     The point estimate is scored by `mse`, the MAP class at the evaluation
     level (or `map_node`, the node a one-class filter stands for) by `map_tree_distance`.
@@ -205,7 +211,7 @@ def _trial(scenario, params, seed, repeat, plan, start, map_node=None) -> Scenar
         plan = make_observation_plan(scenario, params, seed, repeat)
     tree = scenario.tree
     level = _eval_level(scenario, params)
-    step = start(filter_args(scenario, params, child_seed(seed, scenario.index, repeat)), level)
+    step = start(child_seed(seed, scenario.index, repeat), level)
     mses, dists = [], []
     for t, obs in enumerate(plan, start=1):
         snap = step(obs)
@@ -218,16 +224,18 @@ def _trial(scenario, params, seed, repeat, plan, start, map_node=None) -> Scenar
 def run_mhpf(scenario: Scenario, params: RunParams, seed, repeat: int = 0,
              plan=None) -> ScenarioResult:
     """Full hierarchical run: cluster tree, stacked filters, both obs kinds."""
-    def start(args, level):
-        return partial(FilterStack(scenario.tree, *args).step, snapshot_levels=[level])
+    def start(trial_seed, level):
+        return partial(FilterStack(scenario.tree, *filter_args(scenario, params, trial_seed)).step,
+                       snapshot_levels=[level])
     return _trial(scenario, params, seed, repeat, plan, start)
 
 
 def run_bl1(scenario: Scenario, params: RunParams, seed, repeat: int = 0,
             plan=None) -> ScenarioResult:
     """Flat filter over leaf classes; coarse observations are ignored."""
-    def start(args, level):
-        return LeafParticleFilter(scenario.tree.leaves(), *args).step
+    def start(trial_seed, level):
+        return LeafParticleFilter(scenario.tree.leaves(),
+                                  *filter_args(scenario, params, trial_seed)).step
     return _trial(scenario, params, seed, repeat, plan, start)
 
 
@@ -241,13 +249,12 @@ def run_bl2(scenario: Scenario, params: RunParams, seed, repeat: int = 0,
     """
     tree = scenario.tree
 
-    def start(args, level):
-        _, _, _, n_particles, depletion, trial_seed = args
+    def start(trial_seed, level):
         pooled = single_class_tree([t.id for t in scenario.corpus])
         dyn = build_dynamics(pooled, scenario.corpus, params.kappa,
                              max(tree.root_birth, scenario.epsilon_floor))
         return LeafParticleFilter([0], dyn, {0: 1.0}, start_points(pooled, scenario.corpus),
-                                  n_particles, depletion, trial_seed).step
+                                  params.n_particles, params.depletion, trial_seed).step
     return _trial(scenario, params, seed, repeat, plan, start, map_node=tree.root)
 
 

@@ -82,21 +82,26 @@ class ClusterTree:
     def __init__(self, nodes: dict[int, ClusterNode], root: int):
         self.nodes = dict(nodes)
         self.root = root
-        self._leaf_count = sum(node.is_leaf for node in self.nodes.values())
+        self._leaves = tuple(sorted(n for n, node in self.nodes.items() if node.is_leaf))
         self._partitions: dict[tuple[int, ...], Partition] = {}
         self._leaf_by_member = {}
-        for nid, node in self.nodes.items():
-            if node.is_leaf:
-                for m in node.members:
-                    self._leaf_by_member[m] = nid
+        for nid in self._leaves:
+            for m in self.nodes[nid].members:
+                self._leaf_by_member[m] = nid
 
     @property
     def leaf_count(self) -> int:
         """Number of leaf nodes, counted from the nodes."""
-        return self._leaf_count
+        return len(self._leaves)
 
     def leaves(self) -> list[int]:
-        return sorted(n for n, node in self.nodes.items() if node.is_leaf)
+        """The leaf ids, ascending (sorted once, at construction)."""
+        return list(self._leaves)
+
+    @cached_property
+    def _leaf_members(self) -> dict[int, tuple]:
+        """{leaf id: its member ids, ascending}, in `leaves()` order."""
+        return {nid: tuple(sorted(self.nodes[nid].members)) for nid in self._leaves}
 
     def leaf_for(self, trajectory_id) -> int:
         try:
@@ -118,12 +123,13 @@ class ClusterTree:
                 raise InvalidInputError(f"duplicate trajectory id {t.id!r}")
             by_id[t.id] = t
         out = {}
-        for nid in self.leaves():
-            members = sorted(self.nodes[nid].members)
-            missing = [m for m in members if m not in by_id]
-            if missing:
-                raise InvalidInputError(f"class {nid}: unknown member trajectories {missing!r}")
-            out[nid] = [by_id[m] for m in members]
+        for nid, members in self._leaf_members.items():
+            try:
+                out[nid] = [by_id[m] for m in members]
+            except KeyError:
+                missing = [m for m in members if m not in by_id]
+                raise InvalidInputError(f"class {nid}: unknown member trajectories "
+                                        f"{missing!r}") from None
         return out
 
     @cached_property
@@ -154,7 +160,7 @@ class ClusterTree:
         breaks = sorted(set(births.tolist()) | set(deaths[np.isfinite(deaths)].tolist()))
         ids_arr = np.array(ids)
         alive = [tuple(ids_arr[(births <= b) & (b < deaths)].tolist()) for b in breaks]
-        leaf_rows = np.array([row[nid] for nid in self.leaves()], dtype=int)
+        leaf_rows = np.array([row[nid] for nid in self._leaves], dtype=int)
         return _Tables(ids, row, leaf_rows, subtree[:, leaf_rows], lca_birth, breaks, alive)
 
     def row(self, node_id: int) -> int:

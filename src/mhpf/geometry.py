@@ -4,9 +4,10 @@ A trajectory is an ordered sequence of d-dimensional points. The discrete
 Frechet distance between two trajectories is the minimum over monotone
 point couplings of the maximum pointwise Euclidean distance (Eiter and
 Mannila 1994). One dynamic program computes it for a list of trajectory
-pairs at once: the pairs go in blocks of B with B * (P + Q) at most
-_FRECHET_BLOCK_POINTS, each block stored pair-minor so that one antidiagonal
-of every pair's coupling grid is one contiguous slice. The recursion computes
+pairs at once: n pairs go in ceil(n / cap) blocks of near-equal width, where
+cap = _FRECHET_BLOCK_POINTS // (P + Q), so each pair is computed exactly once.
+Each block is stored pair-minor so that one antidiagonal of every pair's
+coupling grid is one contiguous slice. The recursion computes
 each antidiagonal's squared point distances as it reaches them, keeps three
 rolling rows, and takes one square root at the end, so no (P, Q) array of
 distances is ever held.
@@ -15,6 +16,7 @@ distances is ever held.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -46,8 +48,11 @@ class Trajectory:
     """An identified, ordered, finite sequence of d-dimensional points.
 
     The points are a read-only copy, so the per-trajectory facts derived from
-    them (`velocities`, `speeds`, `bounds`) are computed once, on first use,
-    and shared by every corpus, tree and scenario that holds the trajectory.
+    them (`velocities`, `speeds`, `mean_speed`, `arc_length`, `bounds`) are
+    computed once, on first use, and shared by every corpus, tree and scenario
+    that holds the trajectory. The steps (`velocities`) are checked finite
+    when first computed, as the points are when the trajectory is made, so a
+    leaf's dynamics can share them unchecked (`ClassDynamics.from_trajectory`).
     """
 
     id: str
@@ -75,8 +80,13 @@ class Trajectory:
 
     @cached_property
     def velocities(self) -> np.ndarray:
-        """(n-1, d) read-only consecutive differences next - current."""
-        return _read_only(np.diff(self.points, axis=0))
+        """(n-1, d) read-only consecutive differences next - current, all finite."""
+        with np.errstate(over="ignore"):  # an overflowing step is rejected just below
+            steps = np.diff(self.points, axis=0)
+        if not np.isfinite(steps).all():
+            raise InvalidInputError(f"trajectory {self.id!r}: a step between consecutive "
+                                    "points overflows")
+        return _read_only(steps)
 
     @cached_property
     def speeds(self) -> np.ndarray:
@@ -88,7 +98,14 @@ class Trajectory:
         """(2, d) read-only per-coordinate minimum (row 0) and maximum (row 1)."""
         return _read_only(np.stack([self.points.min(axis=0), self.points.max(axis=0)]))
 
+    @cached_property
+    def mean_speed(self) -> float:
+        """`speeds.mean()`: the mean step length; NaN for a single point, which has no steps."""
+        return float(self.speeds.mean()) if len(self.speeds) else math.nan
+
+    @cached_property
     def arc_length(self) -> float:
+        """`speeds.sum()`: the length of the polyline."""
         return float(self.speeds.sum())
 
 
@@ -107,8 +124,10 @@ def _frechet_pairs(x: np.ndarray, y: np.ndarray, ia: np.ndarray, ib: np.ndarray)
     """Discrete Frechet distances between x[..., ia[s]] and y[..., ib[s]] for every s.
 
     `x` (d, P, m) and `y` (d, Q, n) hold trajectories pair-minor (point p of
-    trajectory a is x[:, p, a]). A block of B pairs is copied into X (d, P, B)
-    and, points reversed, Yr (d, Q, B): the cells (i, k-i) of antidiagonal k
+    trajectory a is x[:, p, a]). The pairs go in the fewest blocks of at most
+    _FRECHET_BLOCK_POINTS // (P + Q) pairs, whose widths differ by at most
+    one, so no pair is computed twice. A block of B pairs is copied into
+    X (d, P, B) and, points reversed, Yr (d, Q, B): the cells (i, k-i) of antidiagonal k
     of every pair are then one contiguous slice of each, whose squared point
     distances are summed in coordinate order as the recursion reaches them.
     Cell (i, j) needs C[i, j-1] and C[i-1, j] from antidiagonal k-1 and
@@ -118,21 +137,24 @@ def _frechet_pairs(x: np.ndarray, y: np.ndarray, ia: np.ndarray, ib: np.ndarray)
     the min/max of the roots bit for bit. Besides a reversed copy of `y`,
     scratch memory is O(d B (P+Q)); no (P, Q) array is made.
     """
-    dim, P, Q = x.shape[0], x.shape[1], y.shape[1]
     n = len(ia)
-    size = max(1, min(n, _FRECHET_BLOCK_POINTS // (P + Q)))
+    if n == 0:
+        return np.empty(0)
+    dim, P, Q = x.shape[0], x.shape[1], y.shape[1]
+    n_blocks = -(-n // max(1, _FRECHET_BLOCK_POINTS // (P + Q)))  # ceil
+    edges = [n * k // n_blocks for k in range(n_blocks + 1)]
+    widest = -(-n // n_blocks)
     y_rev = np.ascontiguousarray(y[:, ::-1])
-    X = np.empty((dim, P, size))
-    Yr = np.empty((dim, Q, size))
-    sq = np.empty((dim, min(P, Q), size))
-    rows = np.empty((3, P + 1, size))
+    # Each block's scratch is the front of a flat buffer, reshaped to the
+    # block's own width: contiguous, unlike a slice of a wider block.
+    shapes = ((dim, P), (dim, Q), (dim, min(P, Q)), (3, P + 1))
+    flat = [np.empty(r * c * widest) for r, c in shapes]
     out = np.empty(n)
-    for start in range(0, n, size):
-        # A short last block is moved back to end at the last pair; the pairs
-        # it shares with its predecessor get the same values again.
-        start = min(start, n - size)
-        np.take(x, ia[start:start + size], axis=2, out=X, mode="clip")
-        np.take(y_rev, ib[start:start + size], axis=2, out=Yr, mode="clip")
+    for start, stop in zip(edges[:-1], edges[1:]):
+        X, Yr, sq, rows = (f[:r * c * (stop - start)].reshape(r, c, stop - start)
+                           for f, (r, c) in zip(flat, shapes))
+        np.take(x, ia[start:stop], axis=2, out=X, mode="clip")
+        np.take(y_rev, ib[start:stop], axis=2, out=Yr, mode="clip")
         rows.fill(np.inf)
         for k in range(P + Q - 1):
             lo, hi = max(0, k - Q + 1), min(k, P - 1)
@@ -150,7 +172,7 @@ def _frechet_pairs(x: np.ndarray, y: np.ndarray, ia: np.ndarray, ib: np.ndarray)
             np.minimum(prev[lo + 1:hi + 2], prev[lo:hi + 1], out=cur)  # C[i, j-1], C[i-1, j]
             np.minimum(cur, prev2[lo:hi + 1], out=cur)  # C[i-1, j-1]
             np.maximum(cur, dist, out=cur)
-        out[start:start + size] = rows[(P + Q - 2) % 3, P]
+        out[start:stop] = rows[(P + Q - 2) % 3, P]
     return np.sqrt(out, out=out)
 
 

@@ -286,7 +286,9 @@ class LeafParticleFilter:
     BL2. It ignores coarse observations. Step t draws its prediction noise
     and then its resampling from one stream, (PHASE_PREDICT, t).
     `diagnostics` counts uniform weight resets and the particle advances that
-    fell back to extrapolation.
+    fell back to extrapolation. A step that raises puts back its t, its
+    cached stream, the particles, the masses and the counts, so a retried
+    step draws exactly what a first attempt would.
     """
 
     def __init__(self, class_ids, dynamics, class_prior: dict, start_points: dict,
@@ -344,10 +346,11 @@ class LeafParticleFilter:
         return dict(zip(self._leaf_ids.tolist(), self._masses.tolist()))
 
     def predict(self) -> None:
-        """Advance every particle by its class's dynamics."""
+        """Advance every particle by its class's dynamics, into a new position array."""
+        positions = self.leaf_positions.copy()
         self.diagnostics["extrapolated"] += advance_particles(
-            self.leaf_positions, self._leaf_ids, self._leaf_groups, self.dynamics,
-            self._step_rng())
+            positions, self._leaf_ids, self._leaf_groups, self.dynamics, self._step_rng())
+        self.leaf_positions = positions
 
     def _update_fine(self, xi: np.ndarray) -> None:
         """Reweight the particles by distance to xi; equidistant ones reset to uniform."""
@@ -373,6 +376,22 @@ class LeafParticleFilter:
         """Weight-averaged particle position."""
         return weighted_mean(self.leaf_positions, self.leaf_weights)
 
+    def _saved_state(self) -> tuple:
+        """The attributes and diagnostic counts, as a step that raises puts them back.
+
+        A step rebinds its state (t, the stream, particles, weights, masses)
+        and never writes into the arrays it replaces, so a shallow copy of
+        the attributes holds the state from before the step.
+        """
+        return dict(vars(self)), dict(self.diagnostics)
+
+    def _restore(self, saved: tuple) -> None:
+        """Put back a `_saved_state`."""
+        attrs, counts = saved
+        vars(self).clear()
+        vars(self).update(attrs)
+        self.diagnostics.update(counts)
+
     def snapshot(self) -> dict:
         """Class probabilities and MAP class (ties: smallest id) at level 0, point estimate."""
         probs = self.class_probs
@@ -388,17 +407,23 @@ class LeafParticleFilter:
 
         Check every observation (a bad one raises InvalidInputError before
         any state changes), predict, reweight by each fine observation in
-        arrival order, then resample. Coarse observations carry class-level
-        evidence this filter has no hierarchy to interpret; they are ignored.
+        arrival order, then resample. A step that raises changes nothing.
+        Coarse observations carry class-level evidence this filter has no
+        hierarchy to interpret; they are ignored.
         """
         observations = check_observations(observations, self.leaf_positions.shape[1])
-        self._t += 1
-        self.predict()
-        for obs in observations:
-            if isinstance(obs, FineObservation):
-                self._update_fine(np.asarray(obs.position, dtype=float))
-        snap = self.snapshot()
-        self.resample()
+        saved = self._saved_state()
+        try:
+            self._t += 1
+            self.predict()
+            for obs in observations:
+                if isinstance(obs, FineObservation):
+                    self._update_fine(np.asarray(obs.position, dtype=float))
+            snap = self.snapshot()
+            self.resample()
+        except BaseException:
+            self._restore(saved)
+            raise
         return snap
 
 
@@ -554,20 +579,26 @@ class FilterStack(LeafParticleFilter):
         Order: check every observation and snapshot level (a bad one raises
         InvalidInputError before any state changes), keep the pre-observation
         masses, predict the particles, apply the observations in arrival
-        order, then resample, which resets the masses with the weights.
+        order, then resample, which resets the masses with the weights. A
+        step that raises changes nothing.
         """
         observations = check_observations(observations, self.leaf_positions.shape[1],
                                           self.tree)
         if snapshot_levels is not None:
             snapshot_levels = check_levels(snapshot_levels)
-        self._t += 1
-        # Updates replace the mass array, so this is a snapshot.
-        self._prev_masses = self._masses
-        self.predict()
-        for obs in observations:
-            self._apply(obs)
-        snap = self._snapshot(snapshot_levels)
-        self.resample()
+        saved = self._saved_state()
+        try:
+            self._t += 1
+            # Updates replace the mass array, so this is a snapshot.
+            self._prev_masses = self._masses
+            self.predict()
+            for obs in observations:
+                self._apply(obs)
+            snap = self._snapshot(snapshot_levels)
+            self.resample()
+        except BaseException:
+            self._restore(saved)
+            raise
         return snap
 
 

@@ -49,7 +49,7 @@ def test_discretize_arc_length_preserved_for_smooth_curve():
     pts = np.column_stack([np.cos(ts), np.sin(ts)])
     t = Trajectory("circle", pts)
     out = discretize_uniform(t, 100)
-    assert out.arc_length() == pytest.approx(t.arc_length(), rel=0.01)
+    assert out.arc_length == pytest.approx(t.arc_length, rel=0.01)
 
 
 def test_discretize_rejects_degenerate():

@@ -7,7 +7,7 @@ from helpers import ragged_corpus, reference_harvest
 from mhpf import dynamics
 from mhpf.dynamics import ClassDynamics, build_dynamics, harvest_samples
 from mhpf.errors import InvalidInputError
-from mhpf.filtration import single_class_tree, single_linkage
+from mhpf.filtration import flat_tree, single_class_tree, single_linkage
 from mhpf.geometry import Trajectory, distance_matrix
 
 
@@ -99,6 +99,41 @@ def test_single_member_leaf_shares_its_trajectory_arrays():
         assert not d.positions.flags.writeable and not d.velocities.flags.writeable
         assert d.velocity_scale == float(t.speeds.mean())
         assert d.with_kappa(0.1).positions is d.positions
+
+
+def test_from_trajectory_equals_the_checked_constructor():
+    t = Trajectory("a", np.array([[0.0, 0.0], [1.0, 0.5], [3.0, 0.5], [3.5, 2.0]]))
+    d = ClassDynamics.from_trajectory(4, t, epsilon=0.7, kappa=0.3, centered_noise=True)
+    ref = ClassDynamics(class_id=4, positions=t.points[:-1], velocities=t.velocities,
+                        epsilon=0.7, kappa=0.3, velocity_scale=float(t.speeds.mean()),
+                        centered_noise=True)
+    assert vars(d).keys() == vars(ref).keys()
+    for name, value in vars(ref).items():
+        assert np.array_equal(getattr(d, name), value), name
+    assert d.velocities is t.velocities and d.positions.base is t.points
+
+
+@pytest.mark.parametrize("epsilon, kappa, match", [
+    (0.0, 0.0, "epsilon"), (np.nan, 0.0, "epsilon"), (1.0, -1.0, "kappa"), (1.0, np.inf, "kappa"),
+])
+def test_from_trajectory_checks_radius_and_kappa(epsilon, kappa, match):
+    t = Trajectory("a", np.array([[0.0, 0.0], [1.0, 0.0]]))
+    with pytest.raises(InvalidInputError, match=f"class 3: {match}"):
+        ClassDynamics.from_trajectory(3, t, epsilon, kappa)
+
+
+def test_from_trajectory_rejects_a_single_point():
+    with pytest.raises(InvalidInputError, match="class 2: no dynamics samples"):
+        ClassDynamics.from_trajectory(2, Trajectory("a", np.array([[0.0, 0.0]])), 1.0, 0.0)
+
+
+def test_build_rejects_a_trajectory_whose_step_overflows():
+    # Finite points whose difference overflows: the leaf's shared velocities
+    # would not be finite, so the trajectory rejects them.
+    big = Trajectory("a", np.array([[-1e308, 0.0], [1e308, 0.0]]))
+    other = Trajectory("b", np.array([[0.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(InvalidInputError, match="trajectory 'a'.*overflows"):
+        build_dynamics(flat_tree(["a", "b"]), [big, other], kappa=0.0, epsilon_floor=0.5)
 
 
 def test_build_rejects_zero_sample_class():

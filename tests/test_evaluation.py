@@ -14,12 +14,13 @@ from mhpf.dynamics import build_dynamics
 from mhpf.errors import InvalidInputError
 from mhpf.evaluation import (ExperimentConfig, RAW_FIELDS,
                              RunParams, SUMMARY_FIELDS, build_scenario,
-                             convergence_time, make_observation_plan, map_tree_distance,
+                             convergence_time, filter_args, make_observation_plan,
+                             map_tree_distance,
                              mean_spacing, mse, parse_raw_rows, read_csv, run_bl1,
                              run_bl2, run_experiment, run_mhpf, ranksum_p, summarize,
                              write_csv)
 from mhpf.filtration import flat_tree, single_class_tree, single_linkage
-from mhpf.geometry import Trajectory
+from mhpf.geometry import Trajectory, distance_matrix
 from mhpf.obsgen import ClassPointIndex, bbox_diagonal, gen_fine
 from mhpf.seeding import PHASE_OBSERVE, child_seed, substream
 from mhpf.stack import (CoarseObservation, FilterStack, FineObservation, LeafParticleFilter,
@@ -240,6 +241,73 @@ def test_build_scenario_rejects_a_full_matrix_of_the_wrong_shape(fixed_corpus, s
     corpus = fixed_corpus[:4]
     with pytest.raises(InvalidInputError, match="does not match 4 trajectories"):
         build_scenario(corpus, 3, full_matrix=np.zeros(shape))
+
+
+def set_up_digests(scenarios) -> dict:
+    """sha256 per set-up product over the scenarios, in order: the tree nodes, the
+    leaf dynamics, the class point index, and the scale with the radius floor."""
+    digests = {name: hashlib.sha256() for name in ("trees", "dynamics", "point_index", "scales")}
+    for sc in scenarios:
+        digests["trees"].update(json.dumps(sc.tree.to_dict(), sort_keys=True).encode())
+        for nid, d in sc.dynamics_base.items():
+            digests["dynamics"].update(np.array(nid).tobytes() + d.positions.tobytes()
+                                       + d.velocities.tobytes()
+                                       + np.array([d.epsilon, d.velocity_scale]).tobytes())
+        digests["point_index"].update(sc.point_index._starts.astype(np.int64).tobytes()
+                                      + sc.point_index._points.tobytes())
+        digests["scales"].update(np.array([sc.scale, sc.epsilon_floor]).tobytes())
+    return {name: h.hexdigest() for name, h in digests.items()}
+
+
+# sha256 of what set-up builds for the benchmark's track-obstacle scenarios
+# (the default obstacle corpus, select_scenarios(33, 16, 1)), recorded before
+# the Frechet pairs went in equal blocks and the per-trajectory and per-tree
+# facts were cached. Any drift in the matrix, a tree, a leaf's samples or
+# scale, the point index, the bounding box or the mean spacing shows here.
+GOLDEN_SET_UP_SHA256 = {
+    "trees": "d81ba2e4721bfbf7fc59ffa8575ed617a77bd6c4d0477c86164ffad8557a5d30",
+    "dynamics": "1aa1884023b123382e5e821a648af394d648cb881b04cb4e5abee79a88249ba0",
+    "point_index": "db656618dc10499a6142648709987eb494455fbc396c77958f2d1a733f8a532a",
+    "scales": "f82ed1ba17ac523ce4508b727db921b744a7570368b97684e9deb9a9fdfbc0ed",
+}
+
+
+def test_obstacle_set_up_matches_golden():
+    corpus = evaluation.load_corpus(ExperimentConfig(corpus_kind="obstacle"))
+    full = distance_matrix(corpus)
+    picks = evaluation.select_scenarios(len(corpus), 16, 1)
+    assert len(corpus) == 33 and len(picks) == 16
+    scenarios = [build_scenario(corpus, i, full_matrix=full, index=i) for i in picks]
+    assert set_up_digests(scenarios) == GOLDEN_SET_UP_SHA256
+
+
+def test_filter_args_share_the_scenario_samples_and_leaf_starts(fixed_corpus):
+    scenario = build_scenario(fixed_corpus, truth_index=1, index=1)
+    assert "leaf_starts" not in vars(scenario)  # not made at set-up
+    a = filter_args(scenario, RunParams(kappa=0.3), 1)
+    b = filter_args(scenario, RunParams(kappa=0.1), 2)
+    assert a[2] is b[2] is scenario.leaf_starts
+    expected = start_points(scenario.tree, scenario.corpus)
+    assert list(a[2]) == list(expected)
+    assert all(np.array_equal(a[2][c], expected[c]) for c in expected)
+    for (dynamics, *_), kappa in ((a, 0.3), (b, 0.1)):
+        assert list(dynamics) == list(scenario.dynamics_base)
+        for nid, d in dynamics.items():
+            base = scenario.dynamics_base[nid]
+            assert d.kappa == kappa and base.kappa == 0.0
+            assert d.positions is base.positions and d.velocities is base.velocities
+
+
+def test_bl2_builds_no_leaf_copies(monkeypatch, fixed_corpus):
+    scenario = build_scenario(fixed_corpus, truth_index=1, index=1)
+    params = RunParams(kappa=0.2, psi=0.01)
+    expected = run_bl2(scenario, params, seed=5, repeat=0)
+
+    def no_leaf_copies(*args):
+        raise AssertionError("BL2 reads no leaf dynamics")
+
+    monkeypatch.setattr(evaluation, "filter_args", no_leaf_copies)
+    assert run_bl2(scenario, params, seed=5, repeat=0) == expected
 
 
 def bl2_class(monkeypatch, scenario, params):

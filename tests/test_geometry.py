@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import pickle
 import time
 import tracemalloc
@@ -165,11 +166,11 @@ ORACLE_SETS = {
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_SETS))
-@pytest.mark.parametrize("pairs_per_block", [1, 3, 4, None])
+@pytest.mark.parametrize("pairs_per_block", [1, 3, 4, 5, 8, None])
 def test_kernel_matches_reference_dp_bit_for_bit(monkeypatch, name, pairs_per_block):
-    # 7 trajectories give 21 pairs: single-pair blocks, 7 full blocks of 3,
-    # 5 blocks of 4 and a short last block of 1 (run as pairs 17..20, three
-    # of them shared with its predecessor), or one block at the default.
+    # 7 trajectories give 21 pairs. At most 1, 3, 4, 5 or 8 pairs per block
+    # they run as 21 blocks of 1, 7 of 3, 6 of 3 or 4, 5 of 4 or 5 and 3 of
+    # 7; at the default, as one block.
     trajs = ORACLE_SETS[name]()
     if pairs_per_block is not None:
         longest = max(len(t) for t in trajs)  # every pair is padded to P = Q = longest
@@ -181,6 +182,35 @@ def test_kernel_matches_reference_dp_bit_for_bit(monkeypatch, name, pairs_per_bl
     pairwise = np.array([[frechet_distance(trajs[i], trajs[j]) for j in range(m)]
                          for i in range(m)])
     assert np.array_equal(pairwise, expected)
+
+
+@pytest.mark.parametrize("m, pairs_per_block, widths", [
+    (7, 4, [3, 4, 3, 4, 3, 4]), (7, 5, [4, 4, 4, 4, 5]), (7, 8, [7, 7, 7]),
+    (7, 21, [21]), (7, 1, [1] * 21), (33, 128, [105, 106, 105, 106, 106]), (1, 4, []),
+])
+def test_kernel_blocks_partition_the_pairs(monkeypatch, m, pairs_per_block, widths):
+    # The fewest blocks of at most pairs_per_block pairs, widths differing by
+    # at most one, take every pair once, in order. 33 trajectories of 100
+    # points are the obstacle corpus's 528 pairs at the default cap.
+    rng = np.random.default_rng(m)
+    trajs = [rng.normal(size=(100, 2)) for _ in range(m)]
+    monkeypatch.setattr(geometry, "_FRECHET_BLOCK_POINTS", pairs_per_block * (100 + 100))
+    taken = []
+    take = np.take
+
+    def recording_take(a, indices, *args, **kwargs):
+        taken.append(np.array(indices))
+        return take(a, indices, *args, **kwargs)
+
+    monkeypatch.setattr(geometry.np, "take", recording_take)
+    d = distance_matrix(trajs)
+    monkeypatch.undo()
+    assert [len(i) for i in taken[::2]] == widths
+    ia, ib = np.triu_indices(m, 1)
+    assert np.array_equal(np.concatenate(taken[::2] or [ia]), ia)
+    assert np.array_equal(np.concatenate(taken[1::2] or [ib]), ib)
+    assert np.array_equal(d, distance_matrix(trajs))
+    assert m > 1 or np.array_equal(d, [[0.0]])  # one trajectory, no pairs
 
 
 @pytest.mark.parametrize("lengths", [(170, 300), (300, 170)])
@@ -325,7 +355,7 @@ def test_cached_per_trajectory_arrays_are_read_only_and_exact(points):
         assert np.array_equal(value, ref)
         with pytest.raises(ValueError):
             value[...] = 0.0
-    assert t.arc_length() == float(references["speeds"].sum())
+    assert t.arc_length == float(references["speeds"].sum())
 
 
 def test_pickled_trajectory_stays_read_only():
@@ -336,3 +366,30 @@ def test_pickled_trajectory_stays_read_only():
     for name in ("points", "velocities", "speeds", "bounds"):
         assert not getattr(u, name).flags.writeable
         assert np.array_equal(getattr(u, name), getattr(t, name))
+
+
+@pytest.mark.parametrize("points", [
+    [[0.0, 1.0], [2.0, -1.0], [2.5, 0.5], [1.0, 4.0]],
+    [[0.1, 0.2, 0.3], [-1.0, 2.0, 0.5], [3.0, 3.0, 3.0]],
+    [[2.0], [-1.5], [4.25]],
+])
+def test_cached_per_trajectory_scalars_are_exact_and_survive_pickling(points):
+    t = Trajectory("t", np.array(points))
+    expected = {"mean_speed": float(t.speeds.mean()), "arc_length": float(t.speeds.sum())}
+    t.mean_speed, t.arc_length  # cached before pickling
+    for u in (t, pickle.loads(pickle.dumps(t))):
+        for name, value in expected.items():
+            assert getattr(u, name) is getattr(u, name)  # computed once
+            assert getattr(u, name) == value
+
+
+def test_single_point_trajectory_has_no_mean_speed():
+    t = Trajectory("t", np.array([[1.0, 2.0]]))
+    assert math.isnan(t.mean_speed) and t.arc_length == 0.0
+
+
+def test_a_step_that_overflows_is_rejected():
+    t = Trajectory("t", np.array([[-1e308], [1e308]]))
+    for name in ("velocities", "speeds", "mean_speed", "arc_length"):
+        with pytest.raises(InvalidInputError, match="trajectory 't'.*overflows"):
+            getattr(t, name)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+import mhpf.stack
 from mhpf.dynamics import ClassDynamics, build_dynamics
 from mhpf.errors import InvalidInputError
 from mhpf.evaluation import mean_spacing
@@ -682,6 +683,67 @@ def test_step_rejects_bad_observation_without_changing_state(hand_tree, name):
     obs = [FineObservation(np.array([2.0, 0.4]))]
     assert stack.step(obs) == twin.step(obs)
     assert np.array_equal(stack.leaf_positions, twin.leaf_positions)
+
+
+def filter_state(pf):
+    """t, particles, masses, pre-observation masses (the stack's), diagnostics and stream."""
+    return (pf.t, pf.leaf_labels.copy(), pf.leaf_positions.copy(), pf.leaf_weights.copy(),
+            dict(pf.class_probs), dict(getattr(pf, "prev_probs", {})), dict(pf.diagnostics),
+            pf._rng_t)
+
+
+@pytest.mark.parametrize("where", ["dynamics", "resampling"])
+@pytest.mark.parametrize("kind", ["stack", "flat"])
+def test_step_that_raises_changes_nothing(monkeypatch, fixed_corpus, fixed_tree, kind, where):
+    dyn = build_dynamics(fixed_tree, fixed_corpus, kappa=0.3,
+                         epsilon_floor=2 * mean_spacing(fixed_corpus))
+    leaves = fixed_tree.leaves()
+    prior = {c: 1.0 / len(leaves) for c in leaves}
+    starts = start_points(fixed_tree, fixed_corpus)
+    make = {"stack": lambda: FilterStack(fixed_tree, dyn, prior, starts, N, 0.05, seed=8),
+            "flat": lambda: LeafParticleFilter(leaves, dyn, prior, starts, N, 0.05, 8)}[kind]
+    level = fixed_tree.unique_births()[3]
+    coarse = CoarseObservation(fixed_tree.alive_ids(level)[0], level)
+    truth = fixed_corpus[2].points
+
+    def obs(t):
+        return [FineObservation(truth[t]), coarse]
+
+    target, twin = make(), make()
+    for t in (1, 2):
+        assert target.step(obs(t)) == twin.step(obs(t))
+    before = filter_state(target)
+    calls = []
+
+    def failing(real, fail_on):
+        def call(*args):
+            calls.append(1)
+            if len(calls) == fail_on:
+                raise RuntimeError("step failed")
+            return real(*args)
+        return call
+
+    if where == "dynamics":
+        # The first class advances, drawing from the step's stream; the second fails.
+        monkeypatch.setattr(ClassDynamics, "step_batch", failing(ClassDynamics.step_batch, 2))
+    else:
+        # Prediction and both updates are done; resampling fails.
+        monkeypatch.setattr(mhpf.stack, "resample_particles",
+                            failing(mhpf.stack.resample_particles, 1))
+    with pytest.raises(RuntimeError, match="step failed"):
+        target.step(obs(3))
+    monkeypatch.undo()
+    assert calls
+    after = filter_state(target)
+    assert after[0] == before[0] == 2
+    for a, b in zip(after[1:4], before[1:4]):
+        assert np.array_equal(a, b)
+    assert after[4:] == before[4:]
+    # The retried step draws what a first attempt would, bit for bit.
+    assert target.step(obs(3)) == twin.step(obs(3))
+    for a, b in zip(filter_state(target)[1:4], filter_state(twin)[1:4]):
+        assert a.tobytes() == b.tobytes()
+    assert filter_state(target)[4:] == filter_state(twin)[4:]
 
 
 def test_snapshot_levels_from_a_generator_match_a_list(hand_tree):
