@@ -9,10 +9,10 @@ the birth index of their lowest common ancestor.
 The queries a filter step makes are answered from arrays built once per tree,
 on first use: the alive set of every interval between consecutive births (and
 deaths), a node x leaf membership matrix, a node x node table of the birth of
-each pair's lowest common ancestor, and per alive set the class of every leaf
-(`Partition`). A node's probability is the sum of the leaf masses under it,
-one `membership` row times the leaf masses, so no walk over the tree keeps
-the levels consistent.
+each pair's lowest common ancestor, and per alive set its classes' births and
+the class of every leaf (`Partition`). A node's probability is the sum of the
+leaf masses under it (`node_sums`: one product of the membership matrix with
+the leaf masses), so no walk over the tree keeps the levels consistent.
 """
 
 from __future__ import annotations
@@ -43,29 +43,43 @@ class ClusterNode:
         return not self.children
 
 
+def group_slices(keys: np.ndarray, k: int):
+    """Indices grouped by key (0..k-1), in index order within a group.
+
+    Returns (order, bounds): group g is order[bounds[g]:bounds[g + 1]].
+    """
+    order = np.argsort(keys, kind="stable")
+    return order, np.searchsorted(keys[order], np.arange(k + 1))
+
+
 @dataclass(frozen=True, eq=False)
 class Partition:
     """Tree nodes that cover every leaf exactly once, e.g. the classes alive at a level.
 
-    `ids` are the classes in ascending order and `rows` their rows in the
-    tree's tables. Leaf columns follow `ClusterTree.leaves()`: `leaf_class`
-    gives, per leaf column, the position in `ids` of the class above that leaf,
-    and `leaf_below` marks the leaves strictly under a class (not themselves
-    a class).
+    `ids` are the classes in ascending order, `rows` their rows in the
+    tree's tables and `births` their births. Leaf columns follow
+    `ClusterTree.leaves()`: `leaf_class` gives, per leaf column, the position
+    in `ids` of the class above that leaf, `leaf_groups` the leaf columns
+    grouped by that position (`group_slices`), and `leaf_below` marks the
+    leaves strictly under a class (not themselves a class).
     """
 
     ids: tuple[int, ...]
     rows: np.ndarray
+    births: np.ndarray
     leaf_class: np.ndarray
+    leaf_groups: tuple
     leaf_below: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class _Tables:
-    ids: list            # node ids, ascending; row r of every table is node ids[r]
+    ids: tuple           # node ids, ascending; row r of every table is node ids[r]
     row: dict            # node id -> row
+    births: np.ndarray   # per row, the node's birth
     leaf_rows: np.ndarray  # rows of the leaves, ascending ids
     membership: np.ndarray  # (node, leaf) bool: leaf column j lies in the subtree of row r
+    leaf_sums: np.ndarray  # `membership` as floats, the matrix of `node_sums`
     lca_birth: np.ndarray  # (node, node) birth of the pair's lowest common ancestor
     breaks: list         # sorted births and finite deaths: the alive set changes only here
     alive: list          # per break, the ids alive from it up to the next, ascending
@@ -161,7 +175,9 @@ class ClusterTree:
         ids_arr = np.array(ids)
         alive = [tuple(ids_arr[(births <= b) & (b < deaths)].tolist()) for b in breaks]
         leaf_rows = np.array([row[nid] for nid in self._leaves], dtype=int)
-        return _Tables(ids, row, leaf_rows, subtree[:, leaf_rows], lca_birth, breaks, alive)
+        membership = subtree[:, leaf_rows]
+        return _Tables(tuple(ids), row, births, leaf_rows, membership, membership.astype(float),
+                       lca_birth, breaks, alive)
 
     def row(self, node_id: int) -> int:
         """Row of a node in `membership` and `lca_birth` (rows follow ascending ids)."""
@@ -172,11 +188,18 @@ class ClusterTree:
 
     @property
     def membership(self) -> np.ndarray:
-        """(node, leaf) bool matrix: leaf column j lies under node row r.
-
-        Columns follow `leaves()`.
-        """
+        """(node, leaf) bool matrix: leaf column j (in `leaves()` order) lies under node row r."""
         return self._tables.membership
+
+    @property
+    def node_ids(self) -> tuple[int, ...]:
+        """Every node id, ascending: the order of the rows of the tree's tables."""
+        return self._tables.ids
+
+    def node_sums(self, leaf_values: np.ndarray) -> np.ndarray:
+        """Per node row, the sum of the values (in `leaves()` order) of the leaves under
+        it: one product of the float `membership` matrix, the same for every caller."""
+        return self._tables.leaf_sums @ leaf_values
 
     @property
     def lca_birth(self) -> np.ndarray:
@@ -197,6 +220,14 @@ class ClusterTree:
         """Nodes with birth <= b < death; their members partition the corpus."""
         return set(self.alive_ids(b))
 
+    def level(self, b: float) -> Partition:
+        """The classes alive at level b as a Partition; InvalidInputError if there are none
+        (b NaN or infinite, or in a gap between the levels of a loaded tree)."""
+        alive = self.alive_ids(b)
+        if not alive:
+            raise InvalidInputError(f"no class is alive at level {b!r}")
+        return self.partition(alive)
+
     def partition(self, node_ids) -> Partition:
         """The given nodes as a Partition; raises unless they cover every leaf once."""
         # Alive sets come as sorted tuples, which are their own keys.
@@ -213,7 +244,8 @@ class ClusterTree:
         if not np.all(cover.sum(axis=0) == 1):
             raise InvalidInputError(f"nodes {list(key)} do not partition the leaves")
         leaf_class = cover.argmax(axis=0)
-        part = Partition(key, rows, leaf_class, rows[leaf_class] != t.leaf_rows)
+        part = Partition(key, rows, t.births[rows], leaf_class, group_slices(leaf_class, len(key)),
+                         rows[leaf_class] != t.leaf_rows)
         self._partitions[key] = part
         return part
 
@@ -227,13 +259,9 @@ class ClusterTree:
             raise InvalidInputError(f"level must be >= 0, got {b}")
         if node_id not in self.nodes:
             raise InvalidInputError(f"unknown node id {node_id!r}")
-        nid = node_id
-        n = self.nodes[nid]
-        while not (n.birth <= b < n.death):
-            if n.parent is None:
-                return nid
-            nid = n.parent
-            n = self.nodes[nid]
+        nid, n = node_id, self.nodes[node_id]
+        while not n.birth <= b < n.death and n.parent is not None:
+            nid, n = n.parent, self.nodes[n.parent]
         return nid
 
     def unique_births(self) -> list[float]:

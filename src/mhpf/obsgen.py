@@ -69,7 +69,7 @@ class ClassPointIndex:
     """Member-trajectory points of every leaf class of a tree, stacked in leaf order.
 
     A class's nearest point to a query is the nearest over the leaves under
-    it (`ClusterTree.membership`).
+    it, which its `Partition` groups.
     """
 
     def __init__(self, tree, trajectories):
@@ -82,13 +82,15 @@ class ClassPointIndex:
     def nearest_distances(self, samples: np.ndarray, class_ids) -> np.ndarray:
         """(class, sample) Euclidean distance from each sample to the class's nearest point.
 
-        One `cdist` call sums the squared differences in coordinate order; numpy's
-        (sample, point) temporaries per coordinate would be page-faulted in on every call.
+        `class_ids` must cover every leaf once (an alive set); rows follow
+        ascending class id. One `cdist` call sums the squared differences in
+        coordinate order; numpy's (sample, point) temporaries per coordinate
+        would be page-faulted in on every call.
         """
+        order, bounds = self.tree.partition(class_ids).leaf_groups
         sq = cdist(samples, self._points, "sqeuclidean")
         leaf_d = np.sqrt(np.minimum.reduceat(sq, self._starts, axis=1)).T  # (leaf, sample)
-        member = self.tree.membership[[self.tree.row(c) for c in class_ids]]
-        return np.where(member[:, :, None], leaf_d[None], np.inf).min(axis=1)
+        return np.minimum.reduceat(leaf_d[order], bounds[:-1], axis=0)
 
 
 def gen_coarse(z, psi: float, index: ClassPointIndex, level: float,
@@ -104,9 +106,7 @@ def gen_coarse(z, psi: float, index: ClassPointIndex, level: float,
     infinite, or a gap in a loaded tree) raises InvalidInputError.
     """
     check_psi(psi)
-    alive = index.tree.alive_ids(level)
-    if not alive:
-        raise InvalidInputError(f"no class is alive at level {level!r}")
+    alive = index.tree.level(level).ids
     z = np.asarray(z, dtype=float)
     samples = z + rng.normal(0.0, psi * scale, size=(N_COARSE_SAMPLES, z.shape[0]))
     scores = (index.nearest_distances(samples, alive) ** 2).sum(axis=1)
@@ -168,11 +168,14 @@ def _parse_record(rec) -> tuple[int, object]:
     """(step, observation) of one saved record; KeyError, TypeError or ValueError if malformed."""
     if not isinstance(rec, dict):
         raise TypeError(f"expected a JSON object, got {type(rec).__name__}")
-    t = int(rec["t"])
+    t = rec["t"]
+    if isinstance(t, float) and not t.is_integer() or int(t) < 1:
+        raise ValueError(f"step t must be a whole number >= 1, got {t!r}")
+    step = int(t)
     if rec["kind"] == "fine":
-        return t, FineObservation(np.asarray(rec["position"], dtype=float))
+        return step, FineObservation(np.asarray(rec["position"], dtype=float))
     if rec["kind"] == "coarse":
-        return t, CoarseObservation(int(rec["class_id"]), float(rec["level"]))
+        return step, CoarseObservation(int(rec["class_id"]), float(rec["level"]))
     raise ValueError(f"unknown observation kind {rec['kind']!r}")
 
 
@@ -180,7 +183,8 @@ def load_observations(path) -> list[list]:
     """Per-step observation lists from a file written by save_observations.
 
     A line that is not a JSON object, or a record with a missing or malformed
-    field, raises InvalidInputError naming its line number.
+    field (a step `t` that is not a whole number >= 1 included), raises
+    InvalidInputError naming its line number.
     """
     by_step: dict[int, list] = {}
     with open(path) as fh:

@@ -1,17 +1,18 @@
 """Consistent stack of particle filters over a cluster tree, and the flat filter under it.
 
-`LeafParticleFilter` is a flat bootstrap filter over a fixed set of classes:
-the BL1 and BL2 baselines, which ignore coarse observations. It owns the
-particles, started at their class's point (`start_points`), and one mass per
-class. `FilterStack` extends it with the tree over its leaves, so under a
-shared seed the stack's bottom level under fine observations is BL1 bit for bit.
+`LeafParticleFilter`, the flat filter of the BL1 and BL2 baselines, owns the
+particles (started at their class's point, `start_points`), one mass per
+class, the step loop and the snapshot builder. `FilterStack` extends it with
+the tree over its leaves, so under a shared seed the stack's bottom level
+under fine observations is BL1 bit for bit.
 
 One set of N weighted (leaf class, position) particles carries the estimate.
 A node of the tree holds the particles whose leaf class lies under it, so
 every level of the tree partitions the same N particles. The probability
 state is one mass per leaf, plus the stack's copy from before the step's
 observations. A node's probability is the sum of the leaf masses under it
-(`membership @ masses`), so children sum to their parent by construction.
+(`ClusterTree.node_sums`), so children sum to their parent by construction;
+a level is read through the `Partition` of its alive classes.
 A coarse update gives each class of its level its particles' share of the
 level's weight: a leaf that is a class takes that share, and the leaves
 under a larger class split it in proportion to their pre-observation masses.
@@ -25,6 +26,8 @@ probability ratio.
 
 Step t draws from one random stream, (PHASE_PREDICT, t): the dynamics noise
 of each populated leaf class in ascending class order, then the resampling.
+A step that raises puts back t, the cached stream, the particles, the masses
+and the `diagnostics` counts, so a retried step draws what a first would.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ import numpy as np
 
 from .dynamics import ClassDynamics
 from .errors import InvalidInputError
+from .filtration import group_slices
 from .seeding import PHASE_INIT, PHASE_PREDICT, as_seed_sequence, substream
 
 WEIGHT_EPS = 1e-9
@@ -78,15 +82,6 @@ def read_only(a: np.ndarray) -> np.ndarray:
     view = np.asarray(a).view()
     view.flags.writeable = False
     return view
-
-
-def group_slices(keys: np.ndarray, k: int):
-    """Particle indices grouped by key (0..k-1), in index order within a group.
-
-    Returns (order, bounds): group g is order[bounds[g]:bounds[g + 1]].
-    """
-    order = np.argsort(keys, kind="stable")
-    return order, np.searchsorted(keys[order], np.arange(k + 1))
 
 
 def check_weights(weights: np.ndarray, total: float) -> None:
@@ -279,24 +274,35 @@ def check_observations(observations, dim: int, tree=None) -> tuple:
     return observations
 
 
+def most_probable(ids, births: np.ndarray, probs: np.ndarray) -> int:
+    """The MAP class of one level: highest probability, then earliest birth, then
+    smallest id (`ids` ascending, `births` and `probs` in their order)."""
+    top = np.flatnonzero(probs == probs.max())
+    return int(ids[top[births[top].argmin()]])
+
+
 class LeafParticleFilter:
     """Flat bootstrap filter: N weighted (class, position) particles over fixed classes.
 
     With the leaf classes of a tree this is BL1; with one pooled class it is
-    BL2. It ignores coarse observations. Step t draws its prediction noise
-    and then its resampling from one stream, (PHASE_PREDICT, t).
-    `diagnostics` counts uniform weight resets and the particle advances that
-    fell back to extrapolation. A step that raises puts back its t, its
-    cached stream, the particles, the masses and the counts, so a retried
-    step draws exactly what a first attempt would.
+    BL2. It ignores coarse observations. `diagnostics` counts uniform weight
+    resets and the particle advances that fell back to extrapolation.
+    `FilterStack` overrides only what its tree changes in the step loop and
+    the snapshot: `_keep_prev_masses`, `_update_coarse` and `_level_reads`.
     """
+
+    tree = None  # no hierarchy: coarse observations pass unchecked and are ignored
 
     def __init__(self, class_ids, dynamics, class_prior: dict, start_points: dict,
                  n_particles: int, depletion: float, seed):
         check_particles(n_particles, depletion)
-        self._leaf_ids = np.asarray(sorted(int(c) for c in class_ids), dtype=int)
-        probs = check_prior(class_prior, self._leaf_ids.tolist())
-        points = check_start_points(start_points, dynamics, self._leaf_ids.tolist())
+        ids = sorted(int(c) for c in class_ids)
+        for a, b in zip(ids, ids[1:]):
+            if a == b:
+                raise InvalidInputError(f"repeated class id {a}")
+        self._leaf_ids = np.asarray(ids, dtype=int)
+        probs = check_prior(class_prior, ids)
+        points = check_start_points(start_points, dynamics, ids)
         self.dynamics = dynamics
         self.n_particles = int(n_particles)
         self.depletion = float(depletion)
@@ -352,6 +358,16 @@ class LeafParticleFilter:
             positions, self._leaf_ids, self._leaf_groups, self.dynamics, self._step_rng())
         self.leaf_positions = positions
 
+    def _keep_prev_masses(self) -> None:
+        """Keep the masses from before the step's observations; the flat filter needs none."""
+
+    def _apply(self, obs: FineObservation | CoarseObservation) -> None:
+        """Apply one checked observation."""
+        if isinstance(obs, FineObservation):
+            self._update_fine(np.asarray(obs.position, dtype=float))
+        else:
+            self._update_coarse(obs)
+
     def _update_fine(self, xi: np.ndarray) -> None:
         """Reweight the particles by distance to xi; equidistant ones reset to uniform."""
         d = np.sqrt(((self.leaf_positions - xi) ** 2).sum(axis=1))
@@ -363,6 +379,9 @@ class LeafParticleFilter:
         else:
             w = w / s
         self._set_weights(w)
+
+    def _update_coarse(self, obs: CoarseObservation) -> None:
+        """Ignore class-level evidence: the flat filter has no hierarchy to read it."""
 
     def resample(self) -> None:
         """Resample the particles (`resample_particles`) and make the weights uniform."""
@@ -392,34 +411,50 @@ class LeafParticleFilter:
         vars(self).update(attrs)
         self.diagnostics.update(counts)
 
+    def _level_reads(self, levels) -> list:
+        """(b, class ids, their births, their probabilities) per level a snapshot reads:
+        the flat filter's classes form one level, b = 0, all born at 0."""
+        return [(0.0, self._leaf_ids.tolist(), np.zeros(len(self._leaf_ids)), self._masses)]
+
     def snapshot(self) -> dict:
-        """Class probabilities and MAP class (ties: smallest id) at level 0, point estimate."""
-        probs = self.class_probs
+        """Class probabilities and MAP class at level 0 (ties: smallest id), point estimate."""
+        return self._snapshot(None)
+
+    def _snapshot(self, levels) -> dict:
+        """Class probabilities and MAP class (`most_probable`) per level read, point estimate."""
+        per_level, maps = [], []
+        for b, ids, births, probs in self._level_reads(levels):
+            per_level.append({"b": b, "classes": [{"id": c, "prob": p}
+                                                  for c, p in zip(ids, probs.tolist())]})
+            maps.append({"b": b, "class_id": most_probable(ids, births, probs)})
         return {
             "t": self._t,
-            "levels": [{"b": 0.0, "classes": [{"id": c, "prob": p} for c, p in probs.items()]}],
+            "levels": per_level,
             "point_estimate": [float(x) for x in self.point_estimate()],
-            "map_class": [{"b": 0.0, "class_id": min(probs, key=lambda c: (-probs[c], c))}],
+            "map_class": maps,
         }
 
     def step(self, observations=()) -> dict:
-        """One filtering iteration; returns the post-update snapshot.
+        """One filtering iteration (`_step`); returns the post-update snapshot."""
+        return self._step(observations, None)
 
-        Check every observation (a bad one raises InvalidInputError before
-        any state changes), predict, reweight by each fine observation in
-        arrival order, then resample. A step that raises changes nothing.
-        Coarse observations carry class-level evidence this filter has no
-        hierarchy to interpret; they are ignored.
-        """
-        observations = check_observations(observations, self.leaf_positions.shape[1])
+    def _step(self, observations, levels) -> dict:
+        """The step loop. Check every observation, then the snapshot levels (None:
+        the default), so a bad one raises InvalidInputError before any state
+        changes; keep the pre-observation masses, predict, apply the
+        observations in arrival order, snapshot, then resample. A step that
+        raises changes nothing."""
+        observations = check_observations(observations, self.leaf_positions.shape[1], self.tree)
+        if levels is not None:
+            levels = check_levels(levels)
         saved = self._saved_state()
         try:
             self._t += 1
+            self._keep_prev_masses()
             self.predict()
             for obs in observations:
-                if isinstance(obs, FineObservation):
-                    self._update_fine(np.asarray(obs.position, dtype=float))
-            snap = self.snapshot()
+                self._apply(obs)
+            snap = self._snapshot(levels)
             self.resample()
         except BaseException:
             self._restore(saved)
@@ -430,11 +465,9 @@ class LeafParticleFilter:
 class FilterStack(LeafParticleFilter):
     """Single-writer filter state machine over a cluster tree.
 
-    The particles and leaf masses are a LeafParticleFilter's over the tree's
-    leaves, in `ClusterTree.leaves()` order. The tree adds the masses' copy
-    from before the step's observations, the coarse update, and node-level
-    queries: `class_probs` and `prev_probs` give every node the sum of the
-    leaf masses under it.
+    A LeafParticleFilter over the tree's leaves, plus the masses from before
+    the step's observations, the coarse update and level reads: `class_probs`
+    and `prev_probs` give every node the sum of the leaf masses under it.
     """
 
     def __init__(self, tree, dynamics, class_prior: dict, start_points: dict,
@@ -442,23 +475,19 @@ class FilterStack(LeafParticleFilter):
         super().__init__(tree.leaves(), dynamics, class_prior, start_points,
                          n_particles, depletion, seed)
         self.tree = tree
-        self._node_ids = sorted(tree.nodes)
-        self._membership = tree.membership.astype(float)
         self._prev_masses = self._masses
-
-    # -- level bookkeeping ---------------------------------------------------
-
-    def _node_probs(self, masses: np.ndarray) -> np.ndarray:
-        """Probabilities on the tree's rows: each node sums the leaf masses under it."""
-        return self._membership @ masses
 
     @property
     def class_probs(self) -> dict[int, float]:
-        return dict(zip(self._node_ids, self._node_probs(self._masses).tolist()))
+        return dict(zip(self.tree.node_ids, self.tree.node_sums(self._masses).tolist()))
 
     @property
     def prev_probs(self) -> dict[int, float]:
-        return dict(zip(self._node_ids, self._node_probs(self._prev_masses).tolist()))
+        return dict(zip(self.tree.node_ids, self.tree.node_sums(self._prev_masses).tolist()))
+
+    def _keep_prev_masses(self) -> None:
+        # Updates replace the mass array, so this is a snapshot.
+        self._prev_masses = self._masses
 
     # -- tree probability rebuild ----------------------------------------------
 
@@ -466,17 +495,12 @@ class FilterStack(LeafParticleFilter):
         """Recompute the leaf masses from one level's particle weights.
 
         Each class c of the partition `part` gets P(c), its particles' share
-        of `weights` (`class_masses`; `cls` gives each particle's class
-        position in `part` when the caller has it, else the labels do). A
-        leaf that is itself a class takes P(c). The leaves strictly under a
-        class scale their pre-observation masses by P(c)/P_prev(c), where
-        P_prev(c) is those masses' sum in leaf order. An exhausted class
-        (P_prev(c) = 0) splits P(c) evenly over its leaves, not over its
-        children, so in an uneven subtree each leaf gets the same share.
-        Bad weights raise InvalidInputError before any state changes.
-
-        Returns the per-leaf ratio: P(c)/P_prev(c) for a leaf under a class
-        with prior mass, 1 for every other leaf.
+        of `weights` (`class_masses`; `cls`, if given, holds each particle's
+        class position in `part`). A leaf that is a class takes P(c); the
+        leaves strictly under c scale their pre-observation masses by
+        P(c)/P_prev(c), their sum in leaf order, or split P(c) evenly if it
+        is 0. Bad weights raise InvalidInputError before any state changes.
+        Returns that ratio per leaf (1 where no mass was scaled).
         """
         if cls is None:
             cls = part.leaf_class[self._cols]
@@ -494,15 +518,10 @@ class FilterStack(LeafParticleFilter):
 
     # -- observation updates ---------------------------------------------------
 
-    def _apply(self, obs: FineObservation | CoarseObservation) -> None:
-        if isinstance(obs, FineObservation):
-            self._update_fine(np.asarray(obs.position, dtype=float))
-        else:
-            self._update_coarse(int(obs.class_id), float(obs.level))
-
-    def _update_coarse(self, class_id: int, level_value: float) -> None:
-        part = self.tree.partition(self.tree.alive_ids(level_value))
-        values = bounded_log_weights(self.tree.lca_birth[part.rows, self.tree.row(class_id)])
+    def _update_coarse(self, obs: CoarseObservation) -> None:
+        part = self.tree.level(float(obs.level))
+        row = self.tree.row(int(obs.class_id))
+        values = bounded_log_weights(self.tree.lca_birth[part.rows, row])
         if values.sum() <= 0.0:
             values = np.full(len(part.ids), 1.0 / self.n_particles)
             self.diagnostics["uniform_resets"] += 1
@@ -533,90 +552,38 @@ class FilterStack(LeafParticleFilter):
 
     # -- queries -----------------------------------------------------------------
 
-    def _level_probs(self, b: float, probs: np.ndarray):
-        """The classes alive at level b and their entries of the row array `probs`."""
-        alive = self.tree.alive_ids(b)
-        if not alive:  # only a loaded tree with gaps in its levels gets here
-            raise InvalidInputError(f"no class is alive at level {b!r}")
-        return alive, probs[self.tree.partition(alive).rows].tolist()
-
-    def _most_probable(self, alive, probs) -> int:
-        """Highest-probability class of a level (ties: birth, then id)."""
-        nodes = self.tree.nodes
-        return min(zip(alive, probs), key=lambda cp: (-cp[1], nodes[cp[0]].birth, cp[0]))[0]
+    def _level_reads(self, levels) -> list:
+        """Every birth by default; each level is read through the Partition of its
+        alive classes from one `node_sums` of the leaf masses."""
+        probs = self.tree.node_sums(self._masses)
+        reads = []
+        for b in map(float, self.tree.unique_births() if levels is None else levels):
+            part = self.tree.level(b)
+            reads.append((b, part.ids, part.births, probs[part.rows]))
+        return reads
 
     def map_class(self, b: float) -> int:
         """Highest-probability alive class at level b (ties: birth, then id)."""
-        (b,) = check_levels([b])
-        return self._most_probable(*self._level_probs(b, self._node_probs(self._masses)))
+        (_, ids, births, probs), = self._level_reads(check_levels([b]))
+        return most_probable(ids, births, probs)
 
     def snapshot(self, levels=None) -> dict:
         """Class probabilities and MAP class per level (default: every birth), point estimate."""
         return self._snapshot(None if levels is None else check_levels(levels))
 
-    def _snapshot(self, levels) -> dict:
-        if levels is None:
-            levels = self.tree.unique_births()
-        probs = self._node_probs(self._masses)
-        per_level, maps = [], []
-        for b in map(float, levels):
-            alive, p = self._level_probs(b, probs)
-            per_level.append({"b": b, "classes": [{"id": int(c), "prob": q}
-                                                  for c, q in zip(alive, p)]})
-            maps.append({"b": b, "class_id": int(self._most_probable(alive, p))})
-        return {
-            "t": self._t,
-            "levels": per_level,
-            "point_estimate": [float(x) for x in self.point_estimate()],
-            "map_class": maps,
-        }
-
-    # -- main loop ----------------------------------------------------------------
-
     def step(self, observations=(), snapshot_levels=None) -> dict:
-        """One filtering iteration; returns the post-update snapshot.
-
-        Order: check every observation and snapshot level (a bad one raises
-        InvalidInputError before any state changes), keep the pre-observation
-        masses, predict the particles, apply the observations in arrival
-        order, then resample, which resets the masses with the weights. A
-        step that raises changes nothing.
-        """
-        observations = check_observations(observations, self.leaf_positions.shape[1],
-                                          self.tree)
-        if snapshot_levels is not None:
-            snapshot_levels = check_levels(snapshot_levels)
-        saved = self._saved_state()
-        try:
-            self._t += 1
-            # Updates replace the mass array, so this is a snapshot.
-            self._prev_masses = self._masses
-            self.predict()
-            for obs in observations:
-                self._apply(obs)
-            snap = self._snapshot(snapshot_levels)
-            self.resample()
-        except BaseException:
-            self._restore(saved)
-            raise
-        return snap
+        """One filtering iteration (`_step`); returns the snapshot of `snapshot_levels`
+        (default: every birth) after the observations."""
+        return self._step(observations, snapshot_levels)
 
 
 def check_consistency(stack: FilterStack) -> None:
-    """Assert per-level normalization, parent additivity, and level counts.
-
-    Checks CONSISTENCY_LEVELS evenly spaced levels from 0 to the root birth,
-    to within CONSISTENCY_ATOL.
-    """
+    """Assert per-level normalization, parent additivity and level counts, to within
+    CONSISTENCY_ATOL, at CONSISTENCY_LEVELS evenly spaced levels from 0 to the root birth."""
     tree = stack.tree
     cols = np.searchsorted(tree.leaves(), stack.leaf_labels)
-    root_birth = tree.root_birth
-    if root_birth > 0:
-        levels = np.linspace(0.0, root_birth, CONSISTENCY_LEVELS)
-    else:
-        levels = np.zeros(1)
     probs = stack.class_probs
-    for b in levels:
+    for b in np.linspace(0.0, tree.root_birth, CONSISTENCY_LEVELS if tree.root_birth > 0 else 1):
         alive = tree.alive_at(float(b))
         total = sum(probs.get(c, 0.0) for c in alive)
         if abs(total - 1.0) > CONSISTENCY_ATOL:

@@ -241,6 +241,10 @@ def test_config_validation():
     ('{"t": "one", "kind": "fine", "position": [0.0, 1.0]}', "invalid literal"),
     ('{"t": 1, "kind": "radar", "position": [0.0, 1.0]}', "unknown observation kind"),
     ('{"t": 1, "kind": "fine"', "Expecting"),
+    ('{"t": 0, "kind": "fine", "position": [0.0, 1.0]}', "whole number >= 1, got 0"),
+    ('{"t": -3, "kind": "fine", "position": [0.0, 1.0]}', "whole number >= 1, got -3"),
+    ('{"t": 2.7, "kind": "fine", "position": [0.0, 1.0]}', "whole number >= 1, got 2.7"),
+    ('{"t": NaN, "kind": "fine", "position": [0.0, 1.0]}', "whole number >= 1, got nan"),
 ])
 def test_load_observations_names_the_bad_line(tmp_path, line, message):
     path = tmp_path / "obs.jsonl"

@@ -81,6 +81,15 @@ def test_init_concentrated_prior(hand_tree):
     assert stack.class_probs[2] == 0.0
 
 
+def test_init_rejects_repeated_class_ids(hand_tree):
+    # Without the check, [0, 0, 1] drew class 0 twice as often and left class_probs
+    # naming 0.0 for it.
+    dyn = both_filters(hand_tree)[1](UNIFORM_PRIOR, N).dynamics
+    with pytest.raises(InvalidInputError, match="repeated class id 0"):
+        LeafParticleFilter([0, 0, 1], dyn, {0: 1.0, 1: 1.0},
+                           start_points(hand_tree, hand_trajectories()), N, 0.01, 5)
+
+
 def test_init_rejects_non_leaf_prior(hand_tree):
     trajs = hand_trajectories()
     dyn = build_dynamics(hand_tree, trajs, kappa=0.0, epsilon_floor=0.5)
@@ -654,7 +663,8 @@ def stack_state(stack):
             dict(stack.diagnostics))
 
 
-@pytest.mark.parametrize("name", sorted(BAD_OBSERVATIONS) + list(BAD_SNAPSHOT_LEVELS))
+@pytest.mark.parametrize("name", sorted(BAD_OBSERVATIONS) + list(BAD_SNAPSHOT_LEVELS)
+                         + ["bad_observation_and_snapshot_level"])
 def test_step_rejects_bad_observation_without_changing_state(hand_tree, name):
     trajs = hand_trajectories()
 
@@ -668,12 +678,17 @@ def test_step_rejects_bad_observation_without_changing_state(hand_tree, name):
 
     stack, twin = make(), make()
     before = stack_state(stack)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError) as exc:
         if name in BAD_SNAPSHOT_LEVELS:
             stack.step([FineObservation(np.array([1.0, 0.2]))],
                        snapshot_levels=BAD_SNAPSHOT_LEVELS[name])
+        elif name == "bad_observation_and_snapshot_level":
+            # Observations are checked first, so the observation's error is raised.
+            stack.step(BAD_OBSERVATIONS["nan_position"], snapshot_levels=[-1.0])
         else:
             stack.step(BAD_OBSERVATIONS[name])
+    if name == "bad_observation_and_snapshot_level":
+        assert "fine position" in str(exc.value)
     after = stack_state(stack)
     assert after[0] == before[0] == 1
     for a, b in zip(after[1:4], before[1:4]):
@@ -683,6 +698,17 @@ def test_step_rejects_bad_observation_without_changing_state(hand_tree, name):
     obs = [FineObservation(np.array([2.0, 0.4]))]
     assert stack.step(obs) == twin.step(obs)
     assert np.array_equal(stack.leaf_positions, twin.leaf_positions)
+
+
+@pytest.mark.parametrize("name", ["unknown_class", "dead_class", "negative_level"])
+def test_flat_step_ignores_coarse_observations(hand_tree, name):
+    make_flat = both_filters(hand_tree)[1]
+    flat, twin = make_flat(UNIFORM_PRIOR, N), make_flat(UNIFORM_PRIOR, N)
+    fine = [FineObservation(np.array([1.0, 0.2]))]
+    assert flat.step(fine + BAD_OBSERVATIONS[name]) == twin.step(fine)
+    a, b = filter_state(flat), filter_state(twin)
+    assert a[0] == b[0] and a[4:] == b[4:]
+    assert all(np.array_equal(x, y) for x, y in zip(a[1:4], b[1:4]))
 
 
 def filter_state(pf):
